@@ -13,8 +13,10 @@ observed speed change:
 
 Confirmed predictions leave the belief untouched.  The stability interval is
 the maximal contiguous range of style weights over which the solver keeps
-returning the same equilibrium point for the same kinematic context; it is
-found by a grid scan refined with bisection at the boundaries.
+returning the same equilibrium point for the same kinematic context.  It is
+found in closed form: the MV payoffs are affine in its style weight, so every
+pure-point eigenvalue is too, and the equilibrium can change only where one
+eigenvalue line crosses the stability threshold or two lines cross each other.
 """
 
 from __future__ import annotations
@@ -22,16 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .egt import StrategyState, solve_ess
+from .egt import EIGENVALUE_ZERO_TOL, PURE_POINTS, StrategyState, _eigenvalues_raw, solve_ess
 from .payoff import CellTable, GameContext
 
 #: Speed deadband below which a change does not count as acceleration.
 #: Covers numeric drift in the car-following integration.
 SPEED_DEADBAND = 1e-3
 
-#: Default style-scan resolution and boundary refinement tolerance.
-DEFAULT_GRID_STEP = 1.0 / 1024.0
-REFINE_TOL = 1e-4
+#: Style-weight breakpoints closer than this to each other, to the estimate
+#: or to the ends of [0, 1] are merged.  Rounding in the matrices splits one
+#: exact root into several a few ulps apart; a segment that narrow is below
+#: what the arithmetic resolves, so its midpoint would classify noise.
+BREAKPOINT_RESOLUTION = 1e-10
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,22 +76,18 @@ class StabilityInterval:
     stale: bool = False
 
 
-def ess_stability_interval(
-    ctx: GameContext,
-    ess: StrategyState,
-    grid_step: float = DEFAULT_GRID_STEP,
-) -> StabilityInterval:
+def ess_stability_interval(ctx: GameContext, ess: StrategyState) -> StabilityInterval:
     """Maximal contiguous style range around the context's estimate keeping ``ess``.
 
-    Scans omega outward from the context's MV style weight in ``grid_step``
-    increments, rebuilding only the MV payoff, and brackets where the solver
-    stops returning the same operative equilibrium; each boundary is then
-    refined by bisection to within ``REFINE_TOL``.  If the equilibrium does
+    Walks the eigenvalue breakpoints outward from the context's MV style
+    weight, classifying each segment between them once at its midpoint, and
+    stops at the first segment whose equilibrium differs; that breakpoint is
+    the bound, otherwise the bound is 0 or 1.  Both bounds are points where
+    the solver still returns ``ess``, within rounding and
+    ``BREAKPOINT_RESOLUTION`` of the exact boundary.  If the equilibrium does
     not hold even at the estimate itself, the context is stale and the
     degenerate interval is returned flagged.
     """
-    if grid_step <= 0.0:
-        raise ValueError("grid_step must be positive")
     table = CellTable(ctx)
     omega_hat = ctx.mv_style.omega
 
@@ -97,33 +97,62 @@ def ess_stability_interval(
     if not holds(omega_hat):
         return StabilityInterval(omega_hat, omega_hat, stale=True)
 
-    lo = _scan_boundary(holds, omega_hat, -grid_step, 0.0)
-    hi = _scan_boundary(holds, omega_hat, grid_step, 1.0)
-    return StabilityInterval(lo, hi, stale=False)
+    breaks = _breakpoints(table)
+    below = [b for b in reversed(breaks) if b < omega_hat - BREAKPOINT_RESOLUTION] + [0.0]
+    above = [b for b in breaks if b > omega_hat + BREAKPOINT_RESOLUTION] + [1.0]
+    return StabilityInterval(_edge(holds, omega_hat, below), _edge(holds, omega_hat, above))
 
 
-def _scan_boundary(holds, start: float, step: float, limit: float) -> float:
-    """Walk from ``start`` by ``step`` until the predicate fails, then bisect."""
-    inside = start
-    while True:
-        candidate = inside + step
-        if (step < 0.0 and candidate < limit) or (step > 0.0 and candidate > limit):
-            if holds(limit):
-                return limit
-            outside = limit
+def _breakpoints(table: CellTable) -> list[float]:
+    """Sorted style weights in (0, 1) where the operative equilibrium can change, merged.
+
+    The AV eigenvalue at each pure point does not depend on the MV style
+    weight and the MV eigenvalue is affine in it, so each of the eight
+    eigenvalues is a line read off the matrices at 0 and 1.  Stability flips
+    where a line crosses -EIGENVALUE_ZERO_TOL; the slowest-eigenvalue ranking
+    among stable points changes only where two lines cross.
+    """
+    m0, m1 = table.matrix_at(0.0), table.matrix_at(1.0)
+    lines = []  # (intercept, slope)
+    for pt in PURE_POINTS:
+        for a, b in zip(_eigenvalues_raw(m0, pt.p, pt.q), _eigenvalues_raw(m1, pt.p, pt.q)):
+            lines.append((a, b - a))
+    roots = []
+    for i, (a, s) in enumerate(lines):
+        if s != 0.0:
+            roots.append((-EIGENVALUE_ZERO_TOL - a) / s)
+        for a2, s2 in lines[i + 1:]:
+            if s != s2:
+                roots.append((a2 - a) / (s - s2))
+    breaks: list[float] = []
+    for r in sorted(roots):
+        if BREAKPOINT_RESOLUTION < r < 1.0 - BREAKPOINT_RESOLUTION and (
+            not breaks or r - breaks[-1] > BREAKPOINT_RESOLUTION
+        ):
+            breaks.append(r)
+    return breaks
+
+
+def _edge(holds, start: float, breaks: list[float]) -> float:
+    """Walk ``breaks`` (in order away from ``start``, ending at the range limit) to the bound.
+
+    Rounding in the matrix can leave the solver's answer at the computed
+    breakpoint itself on the far side; the bound then steps back toward the
+    last point seen to hold until the equilibrium holds there.
+    """
+    inside = edge = start
+    for far in breaks:
+        mid = 0.5 * (edge + far)
+        if not holds(mid):
             break
+        inside, edge = mid, far
+    toward_inside = 1.0 if inside > edge else -1.0
+    back = 0.0
+    while back < abs(edge - inside):
+        candidate = edge + toward_inside * back
         if holds(candidate):
-            inside = candidate
-        else:
-            outside = candidate
-            break
-    # invariant: holds(inside) and not holds(outside)
-    while abs(outside - inside) > REFINE_TOL:
-        mid = 0.5 * (inside + outside)
-        if holds(mid):
-            inside = mid
-        else:
-            outside = mid
+            return candidate
+        back = back * 8.0 if back else 1e-15
     return inside
 
 
@@ -133,14 +162,13 @@ def update_belief(
     reaction: Reaction,
     ctx: GameContext,
     interval: Optional[StabilityInterval] = None,
-    grid_step: float = DEFAULT_GRID_STEP,
     prose_semantics: bool = False,
 ) -> StyleBelief:
     """One estimation round: tighten a bound on a contradicted prediction.
 
     ``ctx`` must be the context whose matrix produced ``ess`` (the MV style
     weight equal to the belief midpoint at prediction time); ``interval`` may
-    carry a precomputed stability interval to avoid rescanning.  Confirmed
+    carry a precomputed stability interval to skip recomputing it.  Confirmed
     predictions and collapsed beliefs are no-ops.  ``prose_semantics`` flips
     the two bound assignments; it implements the alternative sign reading and
     is not the default.
@@ -152,13 +180,13 @@ def update_belief(
     predicted_yield = ess.q == 1.0
     new_kl, new_ku = belief.k_l, belief.k_u
     if predicted_accelerate and not reaction.accelerated:
-        bound = interval if interval is not None else ess_stability_interval(ctx, ess, grid_step)
+        bound = interval if interval is not None else ess_stability_interval(ctx, ess)
         if prose_semantics:
             new_kl = bound.hi
         else:
             new_ku = bound.lo
     elif predicted_yield and reaction.accelerated:
-        bound = interval if interval is not None else ess_stability_interval(ctx, ess, grid_step)
+        bound = interval if interval is not None else ess_stability_interval(ctx, ess)
         if prose_semantics:
             new_ku = bound.lo
         else:

@@ -26,11 +26,13 @@ from .baselines import Policy, merge_profile, select_nash, stackelberg
 from .egt import EquilibriumReport, StrategyState, solve_ess
 from .estimation import StyleBelief, observed_reaction, update_belief
 from .payoff import (
-    ARRIVAL_TIME_FLOOR,
     AgentView,
     DrivingStyle,
     GameContext,
+    Role,
     build_matrix,
+    required_avg_accel,
+    target_arrival_time,
 )
 from .traffic import (
     CONVERGENCE_AREA,
@@ -99,12 +101,8 @@ def merge_control(ctx: GameContext, maneuver: Maneuver) -> float:
     projected arrival, yielding one margin after it; the go-branch time is
     floored and the command clamped to the control authority.
     """
-    base = ctx.mv.dist_to_merge / ctx.mv.speed
-    if maneuver.kind is ManeuverKind.MERGE_AHEAD:
-        t = max(base - ctx.headway_t, ARRIVAL_TIME_FLOOR)
-    else:
-        t = base + ctx.headway_t
-    u = 2.0 * (ctx.av.dist_to_merge - ctx.av.speed * t) / (t * t)
+    t = target_arrival_time(ctx, Role.AV, yields=maneuver.kind is ManeuverKind.YIELD_SHIFT).seconds
+    u = required_avg_accel(ctx.av.dist_to_merge, ctx.av.speed, t)
     return min(max(u, CONTROL_MIN), CONTROL_MAX)
 
 

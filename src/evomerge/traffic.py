@@ -10,7 +10,7 @@ downstream of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -57,11 +57,8 @@ def step_kinematics(state: VehicleState, u: float, t_s: float) -> VehicleState:
     """
     if t_s <= 0.0:
         raise ValueError(f"step size must be positive, got {t_s}")
-    return replace(
-        state,
-        s=state.s + t_s * state.v,
-        v=max(0.0, state.v + t_s * u),
-        a=u,
+    return VehicleState(
+        state.vid, state.lane, state.s + t_s * state.v, max(0.0, state.v + t_s * u), u, state.length
     )
 
 

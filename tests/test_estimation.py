@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evomerge import (
@@ -16,7 +16,8 @@ from evomerge import (
     solve_ess,
     update_belief,
 )
-from evomerge.payoff import with_mv_omega
+from evomerge.egt import PURE_POINTS
+from evomerge.payoff import CellTable, with_mv_omega
 
 
 def ctx_for(d_av, d_mv, omega_hat=0.5, headway=2.0, v=10.0):
@@ -91,6 +92,82 @@ def test_stability_interval_stale_context(worked_ctx):
     interval = ess_stability_interval(worked_ctx, wrong)
     assert interval.stale
     assert interval.lo == interval.hi == worked_ctx.mv_style.omega
+
+
+contexts = st.builds(
+    lambda d_av, v_av, d_mv, v_mv, headway, omega_hat: GameContext(
+        av=AgentView(d_av, v_av), mv=AgentView(d_mv, v_mv),
+        av_style=DrivingStyle(0.5, 1.5), mv_style=DrivingStyle(omega_hat, 1.5),
+        headway_t=headway,
+    ),
+    st.floats(min_value=0.0, max_value=200.0),
+    st.floats(min_value=0.5, max_value=25.0),
+    st.floats(min_value=0.0, max_value=200.0),
+    st.floats(min_value=0.5, max_value=25.0),
+    st.floats(min_value=0.5, max_value=3.5),
+    st.floats(min_value=0.01, max_value=0.99),
+)
+
+
+def slowest_rates_nearly_tie(table):
+    """Whether two pure points' slowest eigenvalues stay within 1e-6 of each other over [0, 1].
+
+    Where two such points are both stable, the solver's pick between them
+    turns on rounding noise (both vehicles at the merge point can do this),
+    so no breakpoint places the switch to within 1e-6.
+    """
+    ends = [solve_ess(table.matrix_at(omega)).fixed_points[:4] for omega in (0.0, 1.0)]
+    rates = [[max(fp.eigenvalues) for fp in fixed] for fixed in ends]
+    return any(
+        all(abs(r[i] - r[j]) <= 1e-6 for r in rates)
+        for i in range(4) for j in range(i + 1, 4)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(contexts)
+def test_stability_interval_is_exact(ctx):
+    report = solve_ess(build_matrix(ctx))
+    table = CellTable(ctx)
+    assume(not slowest_rates_nearly_tie(table))
+    ess = report.ess
+    interval = ess_stability_interval(ctx, ess)
+    assert not interval.stale
+    assert 0.0 <= interval.lo <= ctx.mv_style.omega <= interval.hi <= 1.0
+
+    def holds(omega):
+        return solve_ess(table.matrix_at(omega)).ess == ess
+
+    assert holds(interval.lo)
+    assert holds(interval.hi)
+    assert holds(0.5 * (interval.lo + interval.hi))
+    if interval.lo > 0.0:
+        assert not holds(max(interval.lo - 1e-6, 0.0))
+    if interval.hi < 1.0:
+        assert not holds(min(interval.hi + 1e-6, 1.0))
+
+
+@pytest.mark.parametrize("d_av, d_mv", [(80.0, 100.0), (60.0, 100.0), (90.0, 100.0), (40.0, 60.0)])
+def test_stability_interval_bounds_sit_on_breakpoints(d_av, d_mv):
+    # well-conditioned contexts: the upper bound is a line crossing (80/100)
+    # or a stability threshold (90/100), and rounding leaves it within
+    # ~1e-14 of the exact root, so one step of 1e-12 past it must fail
+    ctx = ctx_for(d_av, d_mv)
+    ess = solve_ess(build_matrix(ctx)).ess
+    interval = ess_stability_interval(ctx, ess)
+    table = CellTable(ctx)
+    assert interval.lo == 0.0 and interval.hi < 1.0
+    assert solve_ess(table.matrix_at(interval.hi)).ess == ess
+    assert solve_ess(table.matrix_at(interval.hi + 1e-12)).ess != ess
+
+
+@settings(max_examples=100, deadline=None)
+@given(contexts, st.sampled_from([None, *PURE_POINTS]))
+def test_stability_interval_stale_when_ess_differs(ctx, wrong):
+    if wrong == solve_ess(build_matrix(ctx)).ess:
+        return
+    interval = ess_stability_interval(ctx, wrong)
+    assert interval == StabilityInterval(ctx.mv_style.omega, ctx.mv_style.omega, stale=True)
 
 
 def test_update_belief_yield_contradicted(worked_ctx):
