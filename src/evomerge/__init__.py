@@ -12,8 +12,8 @@ from .egt import (
     FixedPoint,
     PayoffMatrix,
     StrategyState,
+    deviation_gains,
     eigenvalues_at,
-    expected_payoffs,
     integrate_replicator,
     integrate_replicator_batch,
     replicator_rhs,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .egt import PayoffMatrix, StrategyState
+from .egt import PURE_POINTS, PayoffMatrix, StrategyState, deviation_gains
 
 
 class Policy(Enum):
@@ -18,34 +18,16 @@ class Policy(Enum):
     STACKELBERG = "stackelberg"
 
 
-#: Pure profiles as (p, q) strategy states: rows AV Yield/Merge map to
-#: p = 1/0, columns MV Yield/Accelerate map to q = 1/0.
-_PROFILES = (
-    (StrategyState(1.0, 1.0), "u11", "v11"),
-    (StrategyState(1.0, 0.0), "u12", "v12"),
-    (StrategyState(0.0, 1.0), "u21", "v21"),
-    (StrategyState(0.0, 0.0), "u22", "v22"),
-)
-
-
 def _payoffs(m: PayoffMatrix, profile: StrategyState) -> tuple[float, float]:
-    row = 1 if profile.p == 1.0 else 2
-    col = 1 if profile.q == 1.0 else 2
-    return getattr(m, f"u{row}{col}"), getattr(m, f"v{row}{col}")
+    """(AV, MV) fitness of a pure profile: p = 1 is row 1 (Yield), q = 1 column 1."""
+    if profile.p == 1.0:
+        return (m.u11, m.v11) if profile.q == 1.0 else (m.u12, m.v12)
+    return (m.u21, m.v21) if profile.q == 1.0 else (m.u22, m.v22)
 
 
 def nash_pure(m: PayoffMatrix) -> list[StrategyState]:
     """All pure Nash profiles: no player gains by a unilateral strict deviation."""
-    result = []
-    for profile, _, _ in _PROFILES:
-        u, v = _payoffs(m, profile)
-        flipped_row = StrategyState(1.0 - profile.p, profile.q)
-        flipped_col = StrategyState(profile.p, 1.0 - profile.q)
-        u_dev, _ = _payoffs(m, flipped_row)
-        _, v_dev = _payoffs(m, flipped_col)
-        if u_dev <= u and v_dev <= v:
-            result.append(profile)
-    return result
+    return [point for point, gains in zip(PURE_POINTS, deviation_gains(m)) if max(gains) <= 0.0]
 
 
 def select_nash(m: PayoffMatrix) -> StrategyState | None:
@@ -81,20 +63,12 @@ def stackelberg(m: PayoffMatrix) -> StrategyState:
     the AV commits to the action whose induced response pays it best, ties
     again resolved to Yield.
     """
-    best: tuple[float, float, StrategyState] | None = None
-    for p in (1.0, 0.0):  # Yield first so AV ties resolve to Yield
-        # MV response, Yield bias on ties
-        responses = []
-        for q in (1.0, 0.0):
-            profile = StrategyState(p, q)
-            _, v = _payoffs(m, profile)
-            responses.append((v, q, profile))
-        follower = max(responses, key=lambda r: (r[0], r[1]))
-        u, _ = _payoffs(m, follower[2])
-        if best is None or u > best[0]:
-            best = (u, p, follower[2])
-    assert best is not None
-    return best[2]
+    gains = dict(zip(PURE_POINTS, deviation_gains(m)))
+    # the MV yields unless accelerating against the AV's action pays it strictly more
+    after_yield, after_merge = (
+        StrategyState(p, 1.0 if gains[StrategyState(p, 1.0)][1] <= 0.0 else 0.0) for p in (1.0, 0.0)
+    )
+    return after_merge if _payoffs(m, after_merge)[0] > _payoffs(m, after_yield)[0] else after_yield
 
 
 def merge_profile(profile: StrategyState | None) -> bool:

@@ -11,6 +11,7 @@ full grammar is documented in the README.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import get_type_hints
 
 from .runner import AvSpec, HeadwaySpec, SimConfig, VehicleSpec
 
@@ -19,17 +20,9 @@ class ConfigError(ValueError):
     """Raised on any malformed or unknown scenario-file content."""
 
 
+#: Every scalar SimConfig field is a [sim] key, cast with its annotated type.
 _SIM_KEYS = {
-    "duration": float,
-    "dt": float,
-    "decision_period": float,
-    "horizon": int,
-    "seed": int,
-    "headway_t": float,
-    "flow_speed": float,
-    "speed_slack": float,
-    "reaction_deadband": float,
-    "jerk_limit": float,
+    name: kind for name, kind in get_type_hints(SimConfig).items() if name not in ("vehicles", "av")
 }
 _AV_KEYS = {"d": float, "v": float, "omega": float}
 _VEHICLE_KEYS = {"id": str, "lane": str, "d": float, "v": float, "headway": str}

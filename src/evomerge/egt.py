@@ -74,23 +74,26 @@ PURE_POINTS: tuple[StrategyState, ...] = (
 )
 
 
-def expected_payoffs(m: PayoffMatrix, s: StrategyState) -> tuple[float, float, float, float, float, float]:
-    """Per-action and population-average fitness (E_AV1, E_AV2, E_MV1, E_MV2, E_AV, E_MV)."""
-    e_av1 = s.q * m.u11 + (1.0 - s.q) * m.u12
-    e_av2 = s.q * m.u21 + (1.0 - s.q) * m.u22
-    e_mv1 = s.p * m.v11 + (1.0 - s.p) * m.v21
-    e_mv2 = s.p * m.v12 + (1.0 - s.p) * m.v22
-    e_av = s.p * e_av1 + (1.0 - s.p) * e_av2
-    e_mv = s.q * e_mv1 + (1.0 - s.q) * e_mv2
-    return e_av1, e_av2, e_mv1, e_mv2, e_av, e_mv
+def _gaps(m: PayoffMatrix, p, q):
+    """(E_AV1 - E_AV2, E_MV1 - E_MV2) at (p, q), on floats or arrays.
+
+    Each player's fitness advantage of yielding over going; the replicator
+    field and the deviation gains are both read off these two gaps.
+    """
+    return (
+        q * (m.u11 - m.u21) + (1.0 - q) * (m.u12 - m.u22),
+        p * (m.v11 - m.v12) + (1.0 - p) * (m.v21 - m.v22),
+    )
+
+
+def _field(m: PayoffMatrix, p, q):
+    gap_av, gap_mv = _gaps(m, p, q)
+    return p * (1.0 - p) * gap_av, q * (1.0 - q) * gap_mv
 
 
 def replicator_rhs(m: PayoffMatrix, s: StrategyState) -> tuple[float, float]:
     """Replicator vector field (dp/dt, dq/dt) at state s."""
-    e_av1, e_av2, e_mv1, e_mv2, _, _ = expected_payoffs(m, s)
-    dp = s.p * (1.0 - s.p) * (e_av1 - e_av2)
-    dq = s.q * (1.0 - s.q) * (e_mv1 - e_mv2)
-    return dp, dq
+    return _field(m, s.p, s.q)
 
 
 def eigenvalues_at(m: PayoffMatrix, point: StrategyState) -> tuple[float, float]:
@@ -102,24 +105,28 @@ def eigenvalues_at(m: PayoffMatrix, point: StrategyState) -> tuple[float, float]
         lambda1 = (1 - 2p) (E_AV1 - E_AV2)|q
         lambda2 = (1 - 2q) (E_MV1 - E_MV2)|p
 
-    Interior points are rejected: the Jacobian is not diagonal there and the
-    rest point is classified by construction in :func:`solve_ess`.
+    which are exactly each player's fitness gain from switching action while
+    the other keeps its own.  Interior points are rejected: the Jacobian is
+    not diagonal there and the rest point is classified by construction in
+    :func:`solve_ess`.
     """
     if not point.is_pure():
         raise ValueError(f"eigenvalues_at requires a pure point, got ({point.p}, {point.q})")
-    return _eigenvalues_raw(m, point.p, point.q)
+    return deviation_gains(m)[PURE_POINTS.index(point)]
 
 
-def _eigenvalues_raw(m: PayoffMatrix, p: float, q: float) -> tuple[float, float]:
-    e_av1 = q * m.u11 + (1.0 - q) * m.u12
-    e_av2 = q * m.u21 + (1.0 - q) * m.u22
-    e_mv1 = p * m.v11 + (1.0 - p) * m.v21
-    e_mv2 = p * m.v12 + (1.0 - p) * m.v22
-    return (1.0 - 2.0 * p) * (e_av1 - e_av2), (1.0 - 2.0 * q) * (e_mv1 - e_mv2)
+def deviation_gains(m: PayoffMatrix) -> tuple[tuple[float, float], ...]:
+    """(AV gain, MV gain) from a unilateral switch at each of :data:`PURE_POINTS`.
 
-
-def _is_stable(lam1: float, lam2: float) -> bool:
-    return lam1 <= -EIGENVALUE_ZERO_TOL and lam2 <= -EIGENVALUE_ZERO_TOL
+    These are the Jacobian eigenvalues of :func:`eigenvalues_at`.  A pure
+    point is a Nash profile when neither gain is positive, and an ESS
+    (asymptotically stable rest point) when both are strictly negative.
+    """
+    gains = []
+    for point in PURE_POINTS:
+        gap_av, gap_mv = _gaps(m, point.p, point.q)
+        gains.append(((1.0 - 2.0 * point.p) * gap_av, (1.0 - 2.0 * point.q) * gap_mv))
+    return tuple(gains)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,9 +142,11 @@ class EquilibriumReport:
 
     ``ess`` carries the operative equilibrium: the unique stable pure point,
     or, when several pure points are stable, the most strongly attracting one
-    (smallest slowest eigenvalue).  ``multiple_stable`` flags the latter case
-    so the decision layer can fall back conservatively; ``ess`` is None when
-    no pure point is stable.
+    (smallest slowest eigenvalue; slowest eigenvalues within
+    ``EIGENVALUE_ZERO_TOL`` of each other count as tied and go to the smaller
+    (p, q)).  ``multiple_stable`` flags the latter case so the decision layer
+    can fall back conservatively; ``ess`` is None when no pure point is
+    stable.
     """
 
     fixed_points: tuple[FixedPoint, ...]
@@ -180,27 +189,41 @@ def solve_ess(m: PayoffMatrix) -> EquilibriumReport:
     """
     fixed: list[FixedPoint] = []
     stable: list[tuple[StrategyState, float]] = []  # (point, slowest eigenvalue)
-    for point in PURE_POINTS:
-        lam = _eigenvalues_raw(m, point.p, point.q)
-        ok = _is_stable(*lam)
-        fixed.append(FixedPoint(point=point, eigenvalues=lam, stable=ok))
+    for point, gains in zip(PURE_POINTS, deviation_gains(m)):
+        ok = max(gains) <= -EIGENVALUE_ZERO_TOL
+        fixed.append(FixedPoint(point=point, eigenvalues=gains, stable=ok))
         if ok:
-            stable.append((point, max(lam)))
+            stable.append((point, max(gains)))
 
     interior = _interior_point(m)
     if interior is not None:
         fixed.append(FixedPoint(point=interior, eigenvalues=None, stable=False))
 
+    pick = None
     if stable:
-        pick = min(stable, key=lambda entry: (entry[1], entry[0].p, entry[0].q))[0]
-    else:
-        pick = None
+        fastest = min(rate for _, rate in stable)
+        pick = min(
+            (point for point, rate in stable if rate - fastest <= EIGENVALUE_ZERO_TOL),
+            key=lambda point: (point.p, point.q),
+        )
     return EquilibriumReport(
         fixed_points=tuple(fixed),
         stable_points=tuple(point for point, _ in stable),
         ess=pick,
         multiple_stable=len(stable) > 1,
         interior=interior,
+    )
+
+
+def _rk4_step(m: PayoffMatrix, p, q, dt: float):
+    """One unclamped RK4 step of the replicator field, on floats or arrays."""
+    k1p, k1q = _field(m, p, q)
+    k2p, k2q = _field(m, p + 0.5 * dt * k1p, q + 0.5 * dt * k1q)
+    k3p, k3q = _field(m, p + 0.5 * dt * k2p, q + 0.5 * dt * k2q)
+    k4p, k4q = _field(m, p + dt * k3p, q + dt * k3q)
+    return (
+        p + dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0,
+        q + dt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0,
     )
 
 
@@ -221,26 +244,9 @@ def integrate_replicator(
     p, q = s0.p, s0.q
     for _ in range(steps):
         p, q = _rk4_step(m, p, q, dt)
+        p, q = min(max(p, 0.0), 1.0), min(max(q, 0.0), 1.0)
         traj.append(StrategyState(p, q))
     return traj
-
-
-def _rhs_raw(m: PayoffMatrix, p: float, q: float) -> tuple[float, float]:
-    e_av1 = q * m.u11 + (1.0 - q) * m.u12
-    e_av2 = q * m.u21 + (1.0 - q) * m.u22
-    e_mv1 = p * m.v11 + (1.0 - p) * m.v21
-    e_mv2 = p * m.v12 + (1.0 - p) * m.v22
-    return p * (1.0 - p) * (e_av1 - e_av2), q * (1.0 - q) * (e_mv1 - e_mv2)
-
-
-def _rk4_step(m: PayoffMatrix, p: float, q: float, dt: float) -> tuple[float, float]:
-    k1p, k1q = _rhs_raw(m, p, q)
-    k2p, k2q = _rhs_raw(m, p + 0.5 * dt * k1p, q + 0.5 * dt * k1q)
-    k3p, k3q = _rhs_raw(m, p + 0.5 * dt * k2p, q + 0.5 * dt * k2q)
-    k4p, k4q = _rhs_raw(m, p + dt * k3p, q + dt * k3q)
-    p = p + dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-    q = q + dt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
-    return min(max(p, 0.0), 1.0), min(max(q, 0.0), 1.0)
 
 
 def integrate_replicator_batch(
@@ -249,32 +255,16 @@ def integrate_replicator_batch(
     """Vectorized twin of :func:`integrate_replicator` for many start states.
 
     ``starts`` has shape (n, 2) with columns (p, q); returns the final states
-    with the same shape.  Uses the same RK4 scheme and per-step clamp as the
-    scalar integrator, agreeing with it to within float rounding.
+    with the same shape.  Runs the same RK4 step and per-step clamp as the
+    scalar integrator on arrays, so it agrees with it to within float rounding.
     """
     state = np.array(starts, dtype=float, copy=True)
     if state.ndim != 2 or state.shape[1] != 2:
         raise ValueError("starts must have shape (n, 2)")
-    u = np.array([[m.u11, m.u12], [m.u21, m.u22]])
-    v = np.array([[m.v11, m.v12], [m.v21, m.v22]])
-
-    du = np.array([u[0, 0] - u[1, 0], u[0, 1] - u[1, 1]])  # E_AV1-E_AV2 = du[1] + q*(du[0]-du[1])
-    dv = np.array([v[0, 0] - v[0, 1], v[1, 0] - v[1, 1]])  # E_MV1-E_MV2 = dv[1] + p*(dv[0]-dv[1])
-
-    def rhs(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        gap_av = du[1] + q * (du[0] - du[1])
-        gap_mv = dv[1] + p * (dv[0] - dv[1])
-        return p * (1.0 - p) * gap_av, q * (1.0 - q) * gap_mv
-
     p = state[:, 0]
     q = state[:, 1]
     for _ in range(steps):
-        k1p, k1q = rhs(p, q)
-        k2p, k2q = rhs(p + 0.5 * dt * k1p, q + 0.5 * dt * k1q)
-        k3p, k3q = rhs(p + 0.5 * dt * k2p, q + 0.5 * dt * k2q)
-        k4p, k4q = rhs(p + dt * k3p, q + dt * k3q)
-        p = p + dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-        q = q + dt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
+        p, q = _rk4_step(m, p, q, dt)
         np.clip(p, 0.0, 1.0, out=p)
         np.clip(q, 0.0, 1.0, out=q)
     return np.stack([p, q], axis=1)

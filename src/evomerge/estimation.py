@@ -16,7 +16,8 @@ the maximal contiguous range of style weights over which the solver keeps
 returning the same equilibrium point for the same kinematic context.  It is
 found in closed form: the MV payoffs are affine in its style weight, so every
 pure-point eigenvalue is too, and the equilibrium can change only where one
-eigenvalue line crosses the stability threshold or two lines cross each other.
+eigenvalue line crosses the stability threshold or two lines of different
+points leave the solver's tie band.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .egt import EIGENVALUE_ZERO_TOL, PURE_POINTS, StrategyState, _eigenvalues_raw, solve_ess
+from .egt import EIGENVALUE_ZERO_TOL, StrategyState, deviation_gains, solve_ess
 from .payoff import CellTable, GameContext
 
 #: Speed deadband below which a change does not count as acceleration.
@@ -108,22 +109,26 @@ def _breakpoints(table: CellTable) -> list[float]:
 
     The AV eigenvalue at each pure point does not depend on the MV style
     weight and the MV eigenvalue is affine in it, so each of the eight
-    eigenvalues is a line read off the matrices at 0 and 1.  Stability flips
-    where a line crosses -EIGENVALUE_ZERO_TOL; the slowest-eigenvalue ranking
-    among stable points changes only where two lines cross.
+    deviation gains is a line read off the matrices at 0 and 1.  Stability
+    flips where a line crosses -EIGENVALUE_ZERO_TOL.  Between two stable
+    points the solver keeps the earlier one in PURE_POINTS (the smaller
+    (p, q)) until its slowest eigenvalue exceeds the later one's by more than
+    EIGENVALUE_ZERO_TOL, so the pick can change only where a line of an
+    earlier point lies EIGENVALUE_ZERO_TOL above a line of a later point.
     """
     m0, m1 = table.matrix_at(0.0), table.matrix_at(1.0)
-    lines = []  # (intercept, slope)
-    for pt in PURE_POINTS:
-        for a, b in zip(_eigenvalues_raw(m0, pt.p, pt.q), _eigenvalues_raw(m1, pt.p, pt.q)):
-            lines.append((a, b - a))
+    points = []  # per pure point, its two gains as (intercept, slope)
+    for at0, at1 in zip(deviation_gains(m0), deviation_gains(m1)):
+        points.append([(a, b - a) for a, b in zip(at0, at1)])
     roots = []
-    for i, (a, s) in enumerate(lines):
-        if s != 0.0:
-            roots.append((-EIGENVALUE_ZERO_TOL - a) / s)
-        for a2, s2 in lines[i + 1:]:
-            if s != s2:
-                roots.append((a2 - a) / (s - s2))
+    for k, lines in enumerate(points):
+        for a, s in lines:
+            if s != 0.0:
+                roots.append((-EIGENVALUE_ZERO_TOL - a) / s)
+            for later in points[k + 1:]:
+                for a2, s2 in later:
+                    if s != s2:
+                        roots.append((EIGENVALUE_ZERO_TOL + a2 - a) / (s - s2))
     breaks: list[float] = []
     for r in sorted(roots):
         if BREAKPOINT_RESOLUTION < r < 1.0 - BREAKPOINT_RESOLUTION and (
@@ -162,16 +167,13 @@ def update_belief(
     reaction: Reaction,
     ctx: GameContext,
     interval: Optional[StabilityInterval] = None,
-    prose_semantics: bool = False,
 ) -> StyleBelief:
     """One estimation round: tighten a bound on a contradicted prediction.
 
     ``ctx`` must be the context whose matrix produced ``ess`` (the MV style
     weight equal to the belief midpoint at prediction time); ``interval`` may
     carry a precomputed stability interval to skip recomputing it.  Confirmed
-    predictions and collapsed beliefs are no-ops.  ``prose_semantics`` flips
-    the two bound assignments; it implements the alternative sign reading and
-    is not the default.
+    predictions and collapsed beliefs are no-ops.
     """
     if belief.inconsistent:
         return belief
@@ -181,16 +183,10 @@ def update_belief(
     new_kl, new_ku = belief.k_l, belief.k_u
     if predicted_accelerate and not reaction.accelerated:
         bound = interval if interval is not None else ess_stability_interval(ctx, ess)
-        if prose_semantics:
-            new_kl = bound.hi
-        else:
-            new_ku = bound.lo
+        new_ku = bound.lo
     elif predicted_yield and reaction.accelerated:
         bound = interval if interval is not None else ess_stability_interval(ctx, ess)
-        if prose_semantics:
-            new_ku = bound.lo
-        else:
-            new_kl = bound.hi
+        new_kl = bound.hi
     else:
         return belief
 

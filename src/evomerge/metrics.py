@@ -16,10 +16,9 @@ from pathlib import Path
 from typing import Optional
 
 from .baselines import Policy
-from .runner import SimConfig, SimTrace, StepRecord, run_scenario
+from .runner import AV_ID, SimConfig, SimTrace, StepRecord, run_scenario
 from .traffic import Lane
 
-AV_ID = "AV"
 
 #: TTC samples are capped here; uncapped samples from barely-closing pairs
 #: would otherwise dominate every mean.

@@ -18,8 +18,7 @@ higher value.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .egt import PayoffMatrix
@@ -145,20 +144,20 @@ class CellCosts:
     infeasible: bool
 
 
+def _cost(omega: float, t: float, a: float, safety: float) -> float:
+    """One player's cell cost from its style weight, arrival time, acceleration and safety term."""
+    return omega * t + (1.0 - omega) * a * a + safety
+
+
 def cell_costs(ctx: GameContext, pair: StrategyPair) -> CellCosts:
     av_arr = target_arrival_time(ctx, Role.AV, pair.av_move is AvMove.YIELD)
     mv_arr = target_arrival_time(ctx, Role.MV, pair.mv_move is MvMove.YIELD)
     a_av = required_avg_accel(ctx.av.dist_to_merge, ctx.av.speed, av_arr.seconds)
     a_mv = required_avg_accel(ctx.mv.dist_to_merge, ctx.mv.speed, mv_arr.seconds)
-    safety = abs(a_av + a_mv)
-    w_s = conflict_weight(pair)
-    w_av = ctx.av_style.omega
-    w_mv = ctx.mv_style.omega
-    j_av = w_av * av_arr.seconds + (1.0 - w_av) * a_av * a_av + w_s * safety
-    j_mv = w_mv * mv_arr.seconds + (1.0 - w_mv) * a_mv * a_mv + w_s * safety
+    safety = conflict_weight(pair) * abs(a_av + a_mv)
     return CellCosts(
-        j_av=j_av,
-        j_mv=j_mv,
+        j_av=_cost(ctx.av_style.omega, av_arr.seconds, a_av, safety),
+        j_mv=_cost(ctx.mv_style.omega, mv_arr.seconds, a_mv, safety),
         t_av=av_arr.seconds,
         t_mv=mv_arr.seconds,
         a_av=a_av,
@@ -177,14 +176,7 @@ _PAIRS = (
 
 def build_matrix(ctx: GameContext) -> PayoffMatrix:
     """Fill all four cells and store fitness = -cost, indexed as in the game table."""
-    yy = cell_costs(ctx, _PAIRS[0])
-    ya = cell_costs(ctx, _PAIRS[1])
-    my = cell_costs(ctx, _PAIRS[2])
-    ma = cell_costs(ctx, _PAIRS[3])
-    return PayoffMatrix(
-        u11=-yy.j_av, u12=-ya.j_av, u21=-my.j_av, u22=-ma.j_av,
-        v11=-yy.j_mv, v12=-ya.j_mv, v21=-my.j_mv, v22=-ma.j_mv,
-    )
+    return CellTable(ctx).matrix_at(ctx.mv_style.omega)
 
 
 class CellTable:
@@ -197,34 +189,21 @@ class CellTable:
     points.
     """
 
-    __slots__ = ("_av_terms", "_mv_time", "_mv_comfort", "_mv_safety")
+    __slots__ = ("_av_fitness", "_mv_terms")
 
     def __init__(self, ctx: GameContext) -> None:
-        cells = [cell_costs(ctx, pair) for pair in _PAIRS]
-        self._av_terms = tuple(-c.j_av for c in cells)
-        self._mv_time = tuple(c.t_mv for c in cells)
-        self._mv_comfort = tuple(c.a_mv * c.a_mv for c in cells)
-        safety = []
-        for pair, c in zip(_PAIRS, cells):
-            safety.append(conflict_weight(pair) * abs(c.a_av + c.a_mv))
-        self._mv_safety = tuple(safety)
+        cells = [(pair, cell_costs(ctx, pair)) for pair in _PAIRS]
+        self._av_fitness = tuple(-c.j_av for _, c in cells)
+        self._mv_terms = tuple(
+            (c.t_mv, c.a_mv, conflict_weight(pair) * abs(c.a_av + c.a_mv)) for pair, c in cells
+        )
 
     def matrix_at(self, omega_mv: float) -> PayoffMatrix:
         if not 0.0 <= omega_mv <= 1.0:
             raise ValueError(f"scan omega outside [0, 1]: {omega_mv}")
-        u = self._av_terms
-        v = tuple(
-            -(omega_mv * t + (1.0 - omega_mv) * c + s)
-            for t, c, s in zip(self._mv_time, self._mv_comfort, self._mv_safety)
-        )
+        u = self._av_fitness
+        v = [-_cost(omega_mv, t, a, safety) for t, a, safety in self._mv_terms]
         return PayoffMatrix(
             u11=u[0], u12=u[1], u21=u[2], u22=u[3],
             v11=v[0], v12=v[1], v21=v[2], v22=v[3],
         )
-
-
-def with_mv_omega(ctx: GameContext, omega: float) -> GameContext:
-    """Same context with the MV style weight replaced (clamped into the open interval)."""
-    eps = 1e-12
-    omega = min(max(omega, eps), 1.0 - eps)
-    return replace(ctx, mv_style=replace(ctx.mv_style, omega=omega))

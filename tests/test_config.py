@@ -43,6 +43,13 @@ def test_minimal_scenario_with_defaults():
     assert cfg.vehicles[0].headway.kind == "fixed"
 
 
+def test_every_sim_field_is_a_key():
+    cfg = parse_scenario(MINIMAL.replace(
+        "duration = 10.0", "duration = 10.0\nprobe_accel = 0.8\nprobe_periods = 2"))
+    assert cfg.probe_accel == 0.8
+    assert cfg.probe_periods == 2 and isinstance(cfg.probe_periods, int)
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = parse_scenario("# top\n" + MINIMAL + "\n# tail comment\n")
     assert cfg.vehicles[0].vid == "MV1"

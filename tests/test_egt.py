@@ -9,8 +9,8 @@ from evomerge import (
     PayoffMatrix,
     StrategyState,
     build_matrix,
+    deviation_gains,
     eigenvalues_at,
-    expected_payoffs,
     integrate_replicator,
     integrate_replicator_batch,
     replicator_rhs,
@@ -39,26 +39,6 @@ def test_strategy_state_bounds():
         StrategyState(-0.1, 0.5)
     with pytest.raises(ValueError):
         StrategyState(0.5, 1.1)
-
-
-def test_expected_payoffs_zero_matrix():
-    assert expected_payoffs(ZERO, StrategyState(0.5, 0.5)) == (0, 0, 0, 0, 0, 0)
-
-
-def test_expected_payoffs_column_constant_rows():
-    m = PayoffMatrix(u11=3.0, u12=3.0, u21=-1.0, u22=-1.0,
-                     v11=0.0, v12=0.0, v21=0.0, v22=0.0)
-    for q in (0.0, 0.3, 1.0):
-        e_av1, e_av2, *_ = expected_payoffs(m, StrategyState(0.2, q))
-        assert e_av1 == pytest.approx(3.0, abs=1e-12)
-        assert e_av2 == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_expected_payoffs_worked_context(worked_ctx):
-    m = build_matrix(worked_ctx)
-    e_av1, e_av2, *_ = expected_payoffs(m, StrategyState(0.0, 1.0))
-    assert_close(e_av1, -6.710)
-    assert_close(e_av2, -4.000)
 
 
 def test_replicator_rhs_boundary_fixed_point():
@@ -129,6 +109,30 @@ def test_solve_ess_worked_matrix(worked_ctx):
     assert report.multiple_stable
     assert set(report.stable_points) == {StrategyState(0.0, 1.0), StrategyState(1.0, 0.0)}
     assert report.interior is not None
+
+
+def test_deviation_gains_are_the_pure_point_eigenvalues(worked_ctx):
+    m = build_matrix(worked_ctx)
+    assert deviation_gains(m) == tuple(eigenvalues_at(m, point) for point in PURE_POINTS)
+    # at (0, 1) the AV gains u11 - u21 by yielding instead, the MV v22 - v21
+    # by accelerating instead
+    assert deviation_gains(m)[1] == (m.u11 - m.u21, m.v22 - m.v21)
+
+
+def test_solve_ess_near_tie_goes_to_smaller_profile():
+    # (0, 1) and (1, 0) are both stable; the slowest rates differ by 1e-12,
+    # below the eigenvalue tolerance, so (0, 1) wins although (1, 0) is
+    # faster by that margin
+    eps = 1e-12
+    m = PayoffMatrix(u11=-1.0, u12=0.0, u21=0.0, u22=-1.0,
+                     v11=-1.0, v12=0.0, v21=0.0, v22=-1.0 + eps)
+    report = solve_ess(m)
+    assert set(report.stable_points) == {StrategyState(0.0, 1.0), StrategyState(1.0, 0.0)}
+    assert report.ess == StrategyState(0.0, 1.0)
+    # a gap well beyond the tolerance still goes to the faster point
+    m = PayoffMatrix(u11=-1.0, u12=0.0, u21=0.0, u22=-1.5,
+                     v11=-1.5, v12=0.0, v21=0.0, v22=-1.0)
+    assert solve_ess(m).ess == StrategyState(1.0, 0.0)
 
 
 def test_solve_ess_reports_all_pure_points():

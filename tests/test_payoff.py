@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evomerge import (
@@ -16,7 +16,7 @@ from evomerge import (
     required_avg_accel,
     target_arrival_time,
 )
-from evomerge.payoff import ARRIVAL_TIME_FLOOR, CellTable, with_mv_omega
+from evomerge.payoff import ARRIVAL_TIME_FLOOR, CellTable
 
 from conftest import WORKED, assert_close, oracle_cell
 
@@ -226,12 +226,13 @@ def test_zero_acceleration_consistency():
 
 
 @settings(max_examples=40, deadline=None)
-@given(dists, speeds, dists, speeds, headways, weights, weights,
-       st.floats(min_value=0.0, max_value=1.0))
-def test_cell_table_matches_build_matrix(d_av, v_av, d_mv, v_mv, T, w_av, w_mv, omega):
+@given(dists, speeds, dists, speeds, headways, weights, weights)
+@example(10.0, 3.0, 10.0, 2.0, 3.0, 0.5, 0.5)
+@example(36.0, 11.0, 242.0, 5.0, 1.5, 0.5, 0.9)  # (1-w)*a*a != (1-w)*(a*a) here
+def test_cell_table_matches_build_matrix(d_av, v_av, d_mv, v_mv, T, w_av, w_mv):
     ctx = ctx_for(d_av, v_av, d_mv, v_mv, T, w_av, w_mv)
-    table = CellTable(ctx)
-    fast = table.matrix_at(omega)
-    slow = build_matrix(with_mv_omega(ctx, omega))
-    for name in ("u11", "u12", "u21", "u22", "v11", "v12", "v21", "v22"):
-        assert getattr(fast, name) == pytest.approx(getattr(slow, name), rel=1e-9, abs=1e-9)
+    m = build_matrix(ctx)
+    assert CellTable(ctx).matrix_at(ctx.mv_style.omega) == m
+    cells = [cell_costs(ctx, pair) for pair in (YY, YA, MY, MA)]
+    assert (m.u11, m.u12, m.u21, m.u22) == tuple(-c.j_av for c in cells)
+    assert (m.v11, m.v12, m.v21, m.v22) == tuple(-c.j_mv for c in cells)
