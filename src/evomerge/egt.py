@@ -216,7 +216,11 @@ def solve_ess(m: PayoffMatrix) -> EquilibriumReport:
 
 
 def _rk4_step(m: PayoffMatrix, p, q, dt: float):
-    """One unclamped RK4 step of the replicator field, on floats or arrays."""
+    """One unclamped RK4 step of the replicator field, on floats or arrays.
+
+    Plain elementwise arithmetic, so the entries of ``m`` may be arrays too,
+    broadcasting against ``p`` and ``q``.
+    """
     k1p, k1q = _field(m, p, q)
     k2p, k2q = _field(m, p + 0.5 * dt * k1p, q + 0.5 * dt * k1q)
     k3p, k3q = _field(m, p + 0.5 * dt * k2p, q + 0.5 * dt * k2q)
@@ -257,6 +261,10 @@ def integrate_replicator_batch(
     ``starts`` has shape (n, 2) with columns (p, q); returns the final states
     with the same shape.  Runs the same RK4 step and per-step clamp as the
     scalar integrator on arrays, so it agrees with it to within float rounding.
+    Several games integrate in one call when ``m`` is an object with the
+    eight payoff attributes of :class:`PayoffMatrix` holding length-n arrays,
+    one game per start row; each row's result is bit-identical to a call on
+    its own matrix, since the arithmetic is elementwise.
     """
     state = np.array(starts, dtype=float, copy=True)
     if state.ndim != 2 or state.shape[1] != 2:

@@ -12,12 +12,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
 from .baselines import Policy
-from .runner import AV_ID, SimConfig, SimTrace, StepRecord, run_scenario
-from .traffic import Lane
+from .runner import AV_ID, DecisionRecord, SimConfig, SimTrace, run_scenario
+from .traffic import VEHICLE_LENGTH, Lane
 
 
 #: TTC samples are capped here; uncapped samples from barely-closing pairs
@@ -57,40 +59,36 @@ def compute_metrics(trace: SimTrace, ttc_cap: float = TTC_CAP) -> MetricsReport:
     follower is closing; samples are capped.  Traces shorter than two steps
     per vehicle cannot be differenced and are rejected.
     """
-    by_vid: dict[str, list[StepRecord]] = {}
-    for rec in trace.steps:
-        by_vid.setdefault(rec.vid, []).append(rec)
-    mv_ids = [vid for vid in by_vid if vid != AV_ID]
+    mv_ids = [vid for vid in trace.s if vid != AV_ID]
     if not mv_ids:
         raise ValueError("trace contains no main-road vehicles")
 
     jerks: list[float] = []
     for vid in mv_ids:
-        recs = by_vid[vid]
-        if len(recs) < 2:
+        accel = trace.a[vid]
+        if len(accel) < 2:
             raise ValueError(f"trace for {vid} has fewer than 2 steps; cannot difference")
-        for prev, cur in zip(recs, recs[1:]):
-            jerks.append(abs(cur.a - prev.a) / trace.dt)
+        jerks.extend(abs(cur - prev) / trace.dt for prev, cur in zip(accel, accel[1:]))
 
-    probe = TERMINAL_PROBE_ID if TERMINAL_PROBE_ID in by_vid else mv_ids[-1]
-    terminal_speed = by_vid[probe][-1].v
+    probe = TERMINAL_PROBE_ID if TERMINAL_PROBE_ID in trace.v else mv_ids[-1]
+    terminal_speed = trace.v[probe][-1]
 
     ttc_samples: list[float] = []
-    av_recs = {r.t: r for r in by_vid.get(AV_ID, [])}
-    for vid in mv_ids:
-        for rec in by_vid[vid]:
-            av = av_recs.get(rec.t)
-            if av is None or av.lane is not Lane.MAIN or rec.lane is not av.lane:
-                continue
-            if rec.s >= av.s:
-                continue
-            closing = rec.v - av.v
-            if closing <= 0.0:
-                continue
-            gap = (av.s - rec.s) - 5.0  # bumper to bumper at nominal length
-            if gap <= 0.0:
-                continue
-            ttc_samples.append(min(gap / closing, ttc_cap))
+    if AV_ID in trace.s:
+        av_s, av_v = trace.s[AV_ID], trace.v[AV_ID]
+        merged = [k for k, lane in enumerate(trace.lane[AV_ID]) if lane is Lane.MAIN]
+        for vid in mv_ids:
+            lane, s, v = trace.lane[vid], trace.s[vid], trace.v[vid]
+            for k in merged:
+                if lane[k] is not Lane.MAIN or s[k] >= av_s[k]:
+                    continue
+                closing = v[k] - av_v[k]
+                if closing <= 0.0:
+                    continue
+                gap = (av_s[k] - s[k]) - VEHICLE_LENGTH  # bumper to bumper at nominal length
+                if gap <= 0.0:
+                    continue
+                ttc_samples.append(min(gap / closing, ttc_cap))
 
     undefined = not ttc_samples
     mean_ttc = ttc_cap if undefined else sum(ttc_samples) / len(ttc_samples)
@@ -194,27 +192,46 @@ def fmt(x: float) -> str:
 TRACE_HEADER = "t,id,lane,s,v,a,decision,p_star,q_star,k_l,k_u,omega_hat"
 
 
+def _decision_fields(d: DecisionRecord) -> str:
+    return ",".join([
+        f"{d.maneuver.value}[{d.opponent or ''}]",
+        fmt(d.p_star) if d.p_star is not None else "",
+        fmt(d.q_star) if d.q_star is not None else "",
+        fmt(d.k_l) if d.k_l is not None else "",
+        fmt(d.k_u) if d.k_u is not None else "",
+        fmt(d.omega_hat) if d.omega_hat is not None else "",
+    ])
+
+
+_NO_DECISION = ",,,,,"
+
+#: A lane's CSV text.  Reads the member's plain ``_value_`` attribute, because
+#: ``Lane.value`` (a property) and a dict keyed by members (hashed in Python)
+#: both cost a Python call per row.
+_lane_text = attrgetter("_value_")
+
+
 def trace_csv(trace: SimTrace) -> str:
-    """Render one run as CSV; decision fields fill only the AV's decision rows."""
-    decisions = {d.t: d for d in trace.decisions}
-    lines = [TRACE_HEADER]
-    for rec in trace.steps:
-        decision_cols = ["", "", "", "", "", ""]
-        if rec.vid == AV_ID and rec.t in decisions:
-            d = decisions[rec.t]
-            decision_cols = [
-                f"{d.maneuver.value}[{d.opponent or ''}]",
-                fmt(d.p_star) if d.p_star is not None else "",
-                fmt(d.q_star) if d.q_star is not None else "",
-                fmt(d.k_l) if d.k_l is not None else "",
-                fmt(d.k_u) if d.k_u is not None else "",
-                fmt(d.omega_hat) if d.omega_hat is not None else "",
-            ]
-        lines.append(",".join([
-            fmt(rec.t), rec.vid, rec.lane.value, fmt(rec.s), fmt(rec.v), fmt(rec.a),
-            *decision_cols,
-        ]))
-    return "\n".join(lines) + "\n"
+    """Render one run as CSV; decision fields fill only the AV's decision rows.
+
+    One step's rows share a %-format with each vehicle's id filled in, so
+    every row is formatted once, column values feed it straight from the
+    trace, and each step time is formatted once.
+    """
+    decisions = {d.t: _decision_fields(d) for d in trace.decisions}
+    stamps = [fmt(t) for t in trace.t]
+    step_format = ""
+    columns: list = []
+    for vid in trace.s:
+        columns += [stamps, map(_lane_text, trace.lane[vid]),
+                    trace.s[vid], trace.v[vid], trace.a[vid]]
+        if vid == AV_ID:
+            step_format += f"%s,{AV_ID},%s,%.9g,%.9g,%.9g,%s\n"
+            columns.append([decisions.get(t, _NO_DECISION) for t in trace.t])
+        else:
+            step_format += f"%s,{vid.replace('%', '%%')},%s,%.9g,%.9g,%.9g,{_NO_DECISION}\n"
+    body = step_format * len(trace.t) % tuple(chain.from_iterable(zip(*columns)))
+    return f"{TRACE_HEADER}\n{body}"
 
 
 def write_trace(trace: SimTrace, path: str | Path) -> None:

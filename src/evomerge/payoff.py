@@ -141,6 +141,7 @@ class CellCosts:
     t_mv: float
     a_av: float
     a_mv: float
+    safety: float  # conflict term both players pay
     infeasible: bool
 
 
@@ -162,6 +163,7 @@ def cell_costs(ctx: GameContext, pair: StrategyPair) -> CellCosts:
         t_mv=mv_arr.seconds,
         a_av=a_av,
         a_mv=a_mv,
+        safety=safety,
         infeasible=av_arr.infeasible or mv_arr.infeasible,
     )
 
@@ -192,11 +194,9 @@ class CellTable:
     __slots__ = ("_av_fitness", "_mv_terms")
 
     def __init__(self, ctx: GameContext) -> None:
-        cells = [(pair, cell_costs(ctx, pair)) for pair in _PAIRS]
-        self._av_fitness = tuple(-c.j_av for _, c in cells)
-        self._mv_terms = tuple(
-            (c.t_mv, c.a_mv, conflict_weight(pair) * abs(c.a_av + c.a_mv)) for pair, c in cells
-        )
+        cells = [cell_costs(ctx, pair) for pair in _PAIRS]
+        self._av_fitness = tuple(-c.j_av for c in cells)
+        self._mv_terms = tuple((c.t_mv, c.a_mv, c.safety) for c in cells)
 
     def matrix_at(self, omega_mv: float) -> PayoffMatrix:
         if not 0.0 <= omega_mv <= 1.0:

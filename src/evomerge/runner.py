@@ -41,12 +41,16 @@ from .traffic import (
     IDMParams,
     Lane,
     MERGE_POINT_S,
+    VEHICLE_LENGTH,
     VehicleState,
+    advance,
+    body_gap,
     bumper_gap,
     check_collision,
     headway_from_style,
     idm_accel,
     idm_params_for_style,
+    leaders,
     projected_arrival,
     step_kinematics,
     style_from_headway,
@@ -76,7 +80,6 @@ class Maneuver:
 
     kind: ManeuverKind
     target: Optional[str] = None
-    committed: bool = False
 
 
 def decide(report: EquilibriumReport, target: Optional[str] = None) -> Maneuver:
@@ -212,16 +215,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True, slots=True)
-class StepRecord:
-    t: float
-    vid: str
-    lane: Lane
-    s: float
-    v: float
-    a: float
-
-
-@dataclass(frozen=True, slots=True)
 class DecisionRecord:
     t: float
     opponent: Optional[str]
@@ -242,13 +235,24 @@ class CollisionEvent:
 
 @dataclass(slots=True)
 class SimTrace:
-    """Complete, deterministic record of one run."""
+    """Complete, deterministic record of one run.
+
+    The per-step record is columnar.  ``t`` holds the step times; ``lane``,
+    ``s``, ``v`` and ``a`` map each vehicle id to one entry per step: its
+    lane, position and speed at the start of the step and the acceleration
+    applied during it.  Vehicles appear in the order the run lists them, the
+    merging vehicle first, then the main-road vehicles in configuration order.
+    """
 
     seed: int
     policy: Policy
     dt: float
     duration: float
-    steps: list[StepRecord] = field(default_factory=list)
+    t: list[float] = field(default_factory=list)
+    lane: dict[str, list[Lane]] = field(default_factory=dict)
+    s: dict[str, list[float]] = field(default_factory=dict)
+    v: dict[str, list[float]] = field(default_factory=dict)
+    a: dict[str, list[float]] = field(default_factory=dict)
     decisions: list[DecisionRecord] = field(default_factory=list)
     collisions: list[CollisionEvent] = field(default_factory=list)
     final_order: tuple[str, ...] = ()
@@ -257,9 +261,6 @@ class SimTrace:
     lane_change_time: Optional[float] = None
     true_styles: dict[str, float] = field(default_factory=dict)
     headways: dict[str, float] = field(default_factory=dict)
-
-    def records_for(self, vid: str) -> list[StepRecord]:
-        return [r for r in self.steps if r.vid == vid]
 
 
 @dataclass(slots=True)
@@ -271,97 +272,94 @@ class _Prediction:
 
 
 class _Sim:
-    """Mutable loop state for one scenario run."""
+    """Mutable loop state for one scenario run.
+
+    Vehicle state is columnar: ``lane``, ``s``, ``v``, ``a`` and ``length``
+    hold one entry per vehicle, index 0 the merging vehicle and 1..n the
+    main-road vehicles in configuration order (the order of ``ids``).
+    """
 
     def __init__(self, cfg: SimConfig, policy: Policy):
         self.cfg = cfg
         self.policy = policy
         rng = np.random.default_rng(cfg.seed)
 
+        self.av_style = DrivingStyle(omega=cfg.av.omega, headway=headway_from_style(cfg.av.omega))
+        self.av_idm = idm_params_for_style(cfg.av.omega, self.av_style.headway, cfg.flow_speed, cfg.speed_slack)
+
         self.mv_ids: list[str] = []
-        self.states: dict[str, VehicleState] = {}
-        self.idm: dict[str, IDMParams] = {}
+        self.idm = [self.av_idm]  # by vehicle index
         self.true_style: dict[str, float] = {}
         self.headway: dict[str, float] = {}
         for spec in cfg.vehicles:
             headway = spec.headway.sample(rng)
             omega = style_from_headway(headway)
             self.mv_ids.append(spec.vid)
-            self.states[spec.vid] = VehicleState(
-                vid=spec.vid, lane=Lane.MAIN,
-                s=MERGE_POINT_S - spec.dist_to_merge, v=spec.speed,
-            )
-            self.idm[spec.vid] = idm_params_for_style(omega, headway, cfg.flow_speed, cfg.speed_slack)
+            self.idm.append(idm_params_for_style(omega, headway, cfg.flow_speed, cfg.speed_slack))
             self.true_style[spec.vid] = omega
             self.headway[spec.vid] = headway
 
-        self.states[AV_ID] = VehicleState(
-            vid=AV_ID, lane=Lane.RAMP,
-            s=MERGE_POINT_S - cfg.av.dist_to_merge, v=cfg.av.speed,
-        )
-        self.av_style = DrivingStyle(omega=cfg.av.omega, headway=headway_from_style(cfg.av.omega))
-        self.av_idm = idm_params_for_style(cfg.av.omega, self.av_style.headway, cfg.flow_speed, cfg.speed_slack)
+        self.ids = [AV_ID, *self.mv_ids]
+        self.index = {vid: i for i, vid in enumerate(self.ids)}
+        self.lane = [Lane.RAMP] + [Lane.MAIN] * len(self.mv_ids)
+        self.s = [MERGE_POINT_S - cfg.av.dist_to_merge]
+        self.s += [MERGE_POINT_S - spec.dist_to_merge for spec in cfg.vehicles]
+        self.v = [cfg.av.speed] + [spec.speed for spec in cfg.vehicles]
+        self.a = [0.0] * len(self.ids)
+        self.length = [VEHICLE_LENGTH] * len(self.ids)
+        arrival = [projected_arrival(self.view(i)) for i in range(len(self.ids))]
 
         self.beliefs: dict[str, StyleBelief] = {vid: StyleBelief() for vid in self.mv_ids}
         self.pending: Optional[_Prediction] = None
         self.maneuver = Maneuver(ManeuverKind.YIELD_SHIFT, target=None)
         self.committed = False
-        self.front_id: Optional[str] = None
-        self.prev_accel: dict[str, float] = {}
+        self.front: Optional[int] = None  # index of the AV's leader once merged
+        self.prev_accel: list[Optional[float]] = [None] * len(self.ids)
         self.current_opponent: Optional[str] = None
         self.game_age = 0  # decision periods spent on the current opponent
 
         # Opponent progression: fixed arrival order at t=0, advanced on yields.
         order = sorted(
-            self.mv_ids,
-            key=lambda vid: (projected_arrival(self.states[vid]), vid),
+            range(1, len(self.ids)),
+            key=lambda i: (arrival[i], self.ids[i]),
         )
-        av_arrival = projected_arrival(self.states[AV_ID])
-        self.opponent_order = order
+        self.opponent_order = [self.ids[i] for i in order]
         self.next_opponent = 0
-        while (self.next_opponent < len(order)
-               and projected_arrival(self.states[order[self.next_opponent]]) <= av_arrival):
+        while self.next_opponent < len(order) and arrival[order[self.next_opponent]] <= arrival[0]:
             self.next_opponent += 1
         self.first_opponent = self.next_opponent
 
     # -- helpers -----------------------------------------------------------
+
+    def view(self, i: int) -> VehicleState:
+        """Vehicle i as a state object, for the one-vehicle API."""
+        return VehicleState(self.ids[i], self.lane[i], self.s[i], self.v[i], self.a[i], self.length[i])
+
+    def place(self, state: VehicleState) -> None:
+        """Write a state object back into the columns."""
+        i = self.index[state.vid]
+        self.lane[i], self.s[i], self.v[i], self.a[i], self.length[i] = (
+            state.lane, state.s, state.v, state.a, state.length
+        )
 
     def opponent(self) -> Optional[str]:
         if self.next_opponent < len(self.opponent_order):
             return self.opponent_order[self.next_opponent]
         return None
 
-    def game_view(self, vid: str) -> AgentView:
-        st = self.states[vid]
-        return AgentView(dist_to_merge=max(st.dist_to_merge, 0.0), speed=max(st.v, 0.1))
+    def game_view(self, i: int) -> AgentView:
+        return AgentView(dist_to_merge=max(MERGE_POINT_S - self.s[i], 0.0), speed=max(self.v[i], 0.1))
 
     def context_for(self, opponent: str, omega_hat: float) -> GameContext:
         eps = 1e-9
         omega_hat = min(max(omega_hat, eps), 1.0 - eps)
         return GameContext(
-            av=self.game_view(AV_ID),
-            mv=self.game_view(opponent),
+            av=self.game_view(0),
+            mv=self.game_view(self.index[opponent]),
             av_style=self.av_style,
             mv_style=DrivingStyle(omega=omega_hat, headway=self.headway[opponent]),
             headway_t=self.cfg.headway_t,
         )
-
-    def main_ahead_of(self, s: float) -> Optional[VehicleState]:
-        """Nearest main-lane vehicle strictly ahead of position s."""
-        best = None
-        for vid in self.mv_ids:
-            st = self.states[vid]
-            if st.s > s and (best is None or st.s < best.s):
-                best = st
-        return best
-
-    def main_tail(self) -> Optional[VehicleState]:
-        tail = None
-        for vid in self.mv_ids:
-            st = self.states[vid]
-            if tail is None or st.s < tail.s:
-                tail = st
-        return tail
 
     # -- decision period ---------------------------------------------------
 
@@ -384,10 +382,9 @@ class _Sim:
         else:
             self.current_opponent = opp
             self.game_age = 0
+        v_opp = self.v[self.index[opp]]
         if self.pending is not None and self.pending.opponent == opp:
-            reaction = observed_reaction(
-                self.states[opp].v, self.pending.v_opponent, self.cfg.reaction_deadband
-            )
+            reaction = observed_reaction(v_opp, self.pending.v_opponent, self.cfg.reaction_deadband)
             self.beliefs[opp] = update_belief(
                 self.beliefs[opp], self.pending.ess, reaction, self.pending.ctx
             )
@@ -406,9 +403,7 @@ class _Sim:
             self.maneuver = Maneuver(kind, target=opp)
 
         if report.ess is not None:
-            self.pending = _Prediction(
-                opponent=opp, ctx=ctx, ess=report.ess, v_opponent=self.states[opp].v
-            )
+            self.pending = _Prediction(opponent=opp, ctx=ctx, ess=report.ess, v_opponent=v_opp)
 
         trace.decisions.append(DecisionRecord(
             t=t, opponent=opp,
@@ -428,17 +423,17 @@ class _Sim:
         self.pending = None
 
     def try_lane_change(self, t: float, trace: SimTrace) -> None:
-        av = self.states[AV_ID]
-        if av.s < CONVERGENCE_AREA[0] or self.maneuver.kind is not ManeuverKind.MERGE_AHEAD:
+        if self.s[0] < CONVERGENCE_AREA[0] or self.maneuver.kind is not ManeuverKind.MERGE_AHEAD:
             return
-        front = self.main_ahead_of(av.s)
-        rear = self.states[self.maneuver.target] if self.maneuver.target else None
-        moved, ok = execute_lane_change(av, front, rear, min_gap=self.av_idm.s0)
+        # The AV's leader among the main-road vehicles, with the AV listed last.
+        ahead = leaders([*self.s[1:], self.s[0]])[-1]
+        front = None if ahead is None else self.view(ahead + 1)
+        rear = self.view(self.index[self.maneuver.target]) if self.maneuver.target else None
+        moved, ok = execute_lane_change(self.view(0), front, rear, min_gap=self.av_idm.s0)
         if ok:
-            self.states[AV_ID] = moved
+            self.place(moved)
             self.committed = True
-            self.maneuver = replace(self.maneuver, committed=True)
-            self.front_id = front.vid if front is not None else None
+            self.front = None if ahead is None else ahead + 1
             self.pending = None
             trace.lane_change_time = t
         elif self.maneuver.target is not None:
@@ -448,29 +443,41 @@ class _Sim:
 
     # -- per-step controls -------------------------------------------------
 
+    def accelerations(self) -> list[float]:
+        """This step's commands, by vehicle index."""
+        accel = [self.av_accel()]
+        # Virtual leader: the merging vehicle constrains the driver it is
+        # actively gaming while it is still on the ramp and ahead.
+        game = None
+        if not self.committed and self.lane[0] is Lane.RAMP:
+            opp = self.opponent()
+            game = None if opp is None else self.index[opp]
+        for i, ahead in enumerate(leaders(self.s[1:]), start=1):
+            target = self.mv_accel(i, None if ahead is None else ahead + 1, i == game)
+            accel.append(self.slewed(i, target))
+        return accel
+
     def av_accel(self) -> float:
-        av = self.states[AV_ID]
+        s, v, length = self.s, self.v, self.length
         if self.committed:
-            front = self.states[self.front_id] if self.front_id else None
-            if front is None:
-                return idm_accel(self.av_idm, av.v, FREE_ROAD_GAP, 0.0)
-            gap = bumper_gap(av, front)
+            if self.front is None:
+                return idm_accel(self.av_idm, v[0], FREE_ROAD_GAP, 0.0)
+            gap = body_gap(s[0], length[0], s[self.front], length[self.front])
             if gap <= 0.0:
                 return -EMERGENCY_DECEL
-            return idm_accel(self.av_idm, av.v, gap, av.v - front.v)
+            return idm_accel(self.av_idm, v[0], gap, v[0] - v[self.front])
         if self.maneuver.target is None:
             if self.maneuver.kind is ManeuverKind.MERGE_AHEAD:
                 # Tail slot claimed: settle in behind the last platoon vehicle.
-                tail = self.main_tail()
-                if tail is None:
-                    return 0.0
-                if av.s < tail.s:
-                    gap = bumper_gap(av, tail)
+                tail = min(range(1, len(self.ids)), key=s.__getitem__)
+                if s[0] < s[tail]:
+                    gap = body_gap(s[0], length[0], s[tail], length[tail])
                     if gap <= 0.0:
                         return -EMERGENCY_DECEL
-                    return idm_accel(self.av_idm, av.v, gap, av.v - tail.v)
-                ctx = self.context_for(tail.vid, self.beliefs[tail.vid].omega_hat)
-                return merge_control(ctx, Maneuver(ManeuverKind.YIELD_SHIFT, target=tail.vid))
+                    return idm_accel(self.av_idm, v[0], gap, v[0] - v[tail])
+                tail_id = self.ids[tail]
+                ctx = self.context_for(tail_id, self.beliefs[tail_id].omega_hat)
+                return merge_control(ctx, Maneuver(ManeuverKind.YIELD_SHIFT, target=tail_id))
             return 0.0
         ctx = self.context_for(self.maneuver.target, self.beliefs[self.maneuver.target].omega_hat)
         u = merge_control(ctx, self.maneuver)
@@ -484,42 +491,51 @@ class _Sim:
             u = max(u, self.cfg.probe_accel)
         return u
 
-    def mv_accel(self, vid: str) -> float:
-        st = self.states[vid]
-        leader = self.main_ahead_of(st.s)
-        av = self.states[AV_ID]
-        if av.lane is Lane.MAIN and av.s > st.s and (leader is None or av.s < leader.s):
-            leader = av
+    def mv_accel(self, i: int, leader: Optional[int], gamed: bool) -> float:
+        """IDM command of main-road vehicle i behind ``leader``, capped by the AV when ``gamed``."""
+        s, v, length = self.s, self.v, self.length
+        if self.lane[0] is Lane.MAIN and s[0] > s[i] and (leader is None or s[0] < s[leader]):
+            leader = 0
 
         if leader is None:
-            a = idm_accel(self.idm[vid], st.v, FREE_ROAD_GAP, 0.0)
+            a = idm_accel(self.idm[i], v[i], FREE_ROAD_GAP, 0.0)
         else:
-            gap = bumper_gap(st, leader)
+            gap = body_gap(s[i], length[i], s[leader], length[leader])
             if gap <= 0.0:
                 return -EMERGENCY_DECEL
-            a = idm_accel(self.idm[vid], st.v, gap, st.v - leader.v)
+            a = idm_accel(self.idm[i], v[i], gap, v[i] - v[leader])
 
-        # Virtual leader: the merging vehicle constrains the driver it is
-        # actively gaming while it is still on the ramp and ahead.
-        game_active = (not self.committed and self.opponent() == vid)
-        if game_active and av.lane is Lane.RAMP and av.s > st.s:
-            gap = bumper_gap(st, av)
+        if gamed and s[0] > s[i]:
+            gap = body_gap(s[i], length[i], s[0], length[0])
             if gap <= 0.5:
                 gap = 0.5
-            a = min(a, idm_accel(self.idm[vid], st.v, gap, st.v - av.v))
+            a = min(a, idm_accel(self.idm[i], v[i], gap, v[i] - v[0]))
         return a
 
-    def slewed(self, vid: str, target: float) -> float:
-        prev = self.prev_accel.get(vid)
+    def slewed(self, i: int, target: float) -> float:
+        prev = self.prev_accel[i]
         if prev is None:
-            self.prev_accel[vid] = target
+            self.prev_accel[i] = target
             return target
         span = self.cfg.jerk_limit * self.cfg.dt
         a = min(max(target, prev - span), prev + span)
         if target <= EMERGENCY_TARGET and target < a:
             a = target
-        self.prev_accel[vid] = a
+        self.prev_accel[i] = a
         return a
+
+    def step(self, accel: list[float]) -> None:
+        """Advance every vehicle by one kinematic step in place."""
+        s, v, dt = self.s, self.v, self.cfg.dt
+        for i, u in enumerate(accel):
+            s[i], v[i] = advance(s[i], v[i], u, dt)
+        self.a = accel
+
+
+def _by_vehicle(ids: list[str], rows: list) -> dict[str, list]:
+    """Per-step rows (one entry per vehicle) turned into per-vehicle columns."""
+    columns = zip(*rows) if rows else [()] * len(ids)
+    return {vid: list(col) for vid, col in zip(ids, columns)}
 
 
 def run_scenario(cfg: SimConfig, policy: Policy = Policy.EGT) -> SimTrace:
@@ -527,45 +543,46 @@ def run_scenario(cfg: SimConfig, policy: Policy = Policy.EGT) -> SimTrace:
     sim = _Sim(cfg, policy)
     trace = SimTrace(seed=cfg.seed, policy=policy, dt=cfg.dt, duration=cfg.duration,
                      true_styles=dict(sim.true_style), headways=dict(sim.headway))
+    lanes, positions, speeds, accels = [], [], [], []
 
     for k in range(cfg.n_steps):
         t = round(k * cfg.dt, 9)
         if k % cfg.steps_per_period == 0 and not sim.committed:
             sim.decision_step(t, trace)
 
-        accels: dict[str, float] = {AV_ID: sim.av_accel()}
-        for vid in sim.mv_ids:
-            accels[vid] = sim.slewed(vid, sim.mv_accel(vid))
+        accel = sim.accelerations()
+        trace.t.append(t)
+        lanes.append(tuple(sim.lane))
+        positions.append(tuple(sim.s))
+        speeds.append(tuple(sim.v))
+        accels.append(accel)
 
-        for vid in [AV_ID, *sim.mv_ids]:
-            st = sim.states[vid]
-            trace.steps.append(StepRecord(t=t, vid=vid, lane=st.lane, s=st.s, v=st.v, a=accels[vid]))
-
-        for vid in [AV_ID, *sim.mv_ids]:
-            sim.states[vid] = step_kinematics(sim.states[vid], accels[vid], cfg.dt)
-
-        for first, second in check_collision(list(sim.states.values())):
+        sim.step(accel)
+        for first, second in check_collision(sim.ids, sim.lane, sim.s, sim.length):
             trace.collisions.append(CollisionEvent(t=round((k + 1) * cfg.dt, 9), first=first, second=second))
 
+    trace.lane = _by_vehicle(sim.ids, lanes)
+    trace.s = _by_vehicle(sim.ids, positions)
+    trace.v = _by_vehicle(sim.ids, speeds)
+    trace.a = _by_vehicle(sim.ids, accels)
     _finalize(sim, trace)
     return trace
 
 
 def _finalize(sim: _Sim, trace: SimTrace) -> None:
     """Final merge position: physical order if merged, projected slot otherwise."""
-    av = sim.states[AV_ID]
-    mains = sorted((sim.states[vid] for vid in sim.mv_ids), key=lambda s: -s.s)
+    mains = sorted(range(1, len(sim.ids)), key=lambda i: -sim.s[i])
     if sim.committed:
-        order = sorted([av, *mains], key=lambda s: -s.s)
-        ids = [s.vid for s in order]
+        ids = [sim.ids[i] for i in sorted([0, *mains], key=lambda i: -sim.s[i])]
     else:
         ids = []
         placed = False
-        for st in mains:  # front to back
-            if not placed and sim.opponent() == st.vid:
+        opp = sim.opponent()
+        for i in mains:  # front to back
+            if not placed and opp == sim.ids[i]:
                 ids.append(AV_ID)
                 placed = True
-            ids.append(st.vid)
+            ids.append(sim.ids[i])
         if not placed:
             ids.append(AV_ID)
     trace.final_order = tuple(ids)
@@ -644,11 +661,12 @@ def run_estimation_bench(
     opp = sim.opponent()
     if opp is None:
         raise ValueError("estimation bench needs an opponent behind the merging vehicle")
-    offset = sim.states[opp].dist_to_merge - sim.states[AV_ID].dist_to_merge
+    av, mv = sim.view(0), sim.view(sim.index[opp])
+    offset = mv.dist_to_merge - av.dist_to_merge
     if offset <= 0.0:
         raise ValueError("the bench opponent must be behind the merging vehicle")
-    v_av = sim.states[AV_ID].v
-    v_mv = sim.states[opp].v
+    v_av = av.v
+    v_mv = mv.v
 
     belief = StyleBelief()
     rounds: list[EstimationRound] = []
@@ -662,8 +680,8 @@ def run_estimation_bench(
         t = k * cfg.decision_period
         av = VehicleState(vid=AV_ID, lane=Lane.RAMP, s=MERGE_POINT_S - tau * v_av, v=v_av)
         mv = VehicleState(vid=opp, lane=Lane.MAIN, s=av.s - offset, v=v_mv)
-        sim.states[AV_ID] = av
-        sim.states[opp] = mv
+        sim.place(av)
+        sim.place(mv)
 
         ctx = sim.context_for(opp, belief.omega_hat)
         report = solve_ess(build_matrix(ctx))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import sub
 from typing import Optional, Sequence
 
 # Road geometry (arc-length coordinates, meters).
@@ -57,9 +58,13 @@ def step_kinematics(state: VehicleState, u: float, t_s: float) -> VehicleState:
     """
     if t_s <= 0.0:
         raise ValueError(f"step size must be positive, got {t_s}")
-    return VehicleState(
-        state.vid, state.lane, state.s + t_s * state.v, max(0.0, state.v + t_s * u), u, state.length
-    )
+    s, v = advance(state.s, state.v, u, t_s)
+    return VehicleState(state.vid, state.lane, s, v, u, state.length)
+
+
+def advance(s: float, v: float, u: float, t_s: float) -> tuple[float, float]:
+    """Position and speed after one step of :func:`step_kinematics`, on plain floats."""
+    return s + t_s * v, max(0.0, v + t_s * u)
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,20 +137,54 @@ def merging_list(states: Sequence[VehicleState]) -> PriorityQueue:
 
 def bumper_gap(rear: VehicleState, front: VehicleState) -> float:
     """Bumper-to-bumper distance; negative when the bodies overlap."""
-    return (front.s - rear.s) - 0.5 * (front.length + rear.length)
+    return body_gap(rear.s, rear.length, front.s, front.length)
 
 
-def check_collision(states: Sequence[VehicleState]) -> list[tuple[str, str]]:
-    """Same-lane pairs whose bodies overlap."""
+def body_gap(rear_s: float, rear_length: float, front_s: float, front_length: float) -> float:
+    """:func:`bumper_gap` on plain floats."""
+    return (front_s - rear_s) - 0.5 * (front_length + rear_length)
+
+
+def leaders(positions: Sequence[float]) -> list[Optional[int]]:
+    """Index of each vehicle's leader among ``positions``, None for the front ones.
+
+    The leader is the nearest vehicle strictly ahead; among several at that
+    position the lowest index wins.  One sort serves every vehicle.
+    """
+    out: list[Optional[int]] = [None] * len(positions)
+    leader = head = None  # lowest index of the position group above / of this one
+    group_s = None
+    # Walking the stable ascending sort backwards meets each tie group
+    # highest index first, so its head is the last member seen.
+    for i in reversed(sorted(range(len(positions)), key=positions.__getitem__)):
+        s = positions[i]
+        if s != group_s:
+            leader, group_s = head, s
+        head = i
+        out[i] = leader
+    return out
+
+
+def check_collision(
+    vids: Sequence[str], lanes: Sequence[Lane], positions: Sequence[float], lengths: Sequence[float]
+) -> list[tuple[str, str]]:
+    """Same-lane pairs whose bodies overlap, one column entry per vehicle.
+
+    Each pair is ordered by id; pairs come in (lane, position, id) order of
+    their first vehicle, the main lane first.
+    """
     hits: list[tuple[str, str]] = []
-    ordered = sorted(states, key=lambda s: (s.lane.value, s.s, s.vid))
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            if b.lane is not a.lane:
-                break
-            if abs(a.s - b.s) < 0.5 * (a.length + b.length):
-                pair = (a.vid, b.vid) if a.vid < b.vid else (b.vid, a.vid)
-                hits.append(pair)
+    longest = max(lengths, default=0.0)
+    spread = sorted(positions)
+    if min(map(sub, spread[1:], spread), default=longest) >= longest:
+        return hits  # no two bodies, whatever their lanes, come close enough to touch
+    ordered = sorted(zip([lane is Lane.RAMP for lane in lanes], positions, vids, lengths))
+    for i, (lane_a, s_a, vid_a, len_a) in enumerate(ordered):
+        for lane_b, s_b, vid_b, len_b in ordered[i + 1:]:
+            if lane_b is not lane_a or s_b - s_a >= 0.5 * (len_a + longest):
+                break  # later vehicles are in another lane or farther still
+            if abs(s_a - s_b) < 0.5 * (len_a + len_b):
+                hits.append((vid_a, vid_b) if vid_a < vid_b else (vid_b, vid_a))
     return hits
 
 

@@ -1,4 +1,6 @@
 import math
+from dataclasses import astuple, fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -222,8 +224,11 @@ def test_batch_integrator_matches_scalar():
 
 
 def test_stability_matches_trajectories_on_random_matrices():
-    # small-scale twin of the full acceptance check
+    # small-scale twin of the full acceptance check; every (matrix, stable
+    # point) start set is integrated in one batch, payoff entries repeated
+    # per start row
     rng = np.random.default_rng(42)
+    entries, starts, targets = [], [], []
     checked = 0
     while checked < 40:
         m = PayoffMatrix(*rng.uniform(-10, 10, size=8))
@@ -233,10 +238,14 @@ def test_stability_matches_trajectories_on_random_matrices():
         checked += 1
         report = solve_ess(m)
         for point in report.stable_points:
-            starts = np.clip(
+            starts.append(np.clip(
                 np.array([point.p, point.q]) + rng.uniform(-0.008, 0.008, size=(30, 2)),
                 0.0, 1.0,
-            )
-            finals = integrate_replicator_batch(m, starts, dt=0.01, steps=5000)
-            dist = np.abs(finals - [point.p, point.q]).max(axis=1)
-            assert dist.max() < 1e-3
+            ))
+            entries.append(np.tile(astuple(m), (30, 1)))
+            targets.append(np.tile([point.p, point.q], (30, 1)))
+    columns = np.concatenate(entries).T
+    batch = SimpleNamespace(**{f.name: col for f, col in zip(fields(PayoffMatrix), columns)})
+    finals = integrate_replicator_batch(batch, np.concatenate(starts), dt=0.01, steps=5000)
+    dist = np.abs(finals - np.concatenate(targets)).max(axis=1)
+    assert dist.max() < 1e-3

@@ -9,32 +9,34 @@ from evomerge.metrics import (
     run_batch,
     trace_csv,
 )
-from evomerge.runner import AvSpec, HeadwaySpec, SimTrace, StepRecord, VehicleSpec
+from evomerge.runner import AvSpec, HeadwaySpec, SimTrace, VehicleSpec
 
 
-def synthetic_trace(rows, dt=0.1, collisions=()):
+def synthetic_trace(columns, dt=0.1, collisions=()):
+    """A trace from {vid: (lanes, s, v, a)} columns of one common length."""
     trace = SimTrace(seed=0, policy=Policy.EGT, dt=dt, duration=dt * 3)
-    trace.steps = rows
+    n = len(next(iter(columns.values()))[0])
+    trace.t = [round(k * dt, 9) for k in range(n)]
+    for vid, (lanes, s, v, a) in columns.items():
+        trace.lane[vid], trace.s[vid], trace.v[vid], trace.a[vid] = lanes, s, v, a
     trace.collisions = list(collisions)
     return trace
 
 
-def rows_for(vid, accels, lane=Lane.MAIN, s0=0.0, v=10.0, dt=0.1):
-    return [
-        StepRecord(t=round(k * dt, 9), vid=vid, lane=lane, s=s0 + k * v * dt, v=v, a=a)
-        for k, a in enumerate(accels)
-    ]
+def columns_for(vid, accels, lane=Lane.MAIN, s0=0.0, v=10.0, dt=0.1):
+    n = len(accels)
+    return {vid: ([lane] * n, [s0 + k * v * dt for k in range(n)], [v] * n, list(accels))}
 
 
 def test_constant_acceleration_means_zero_jerk():
-    trace = synthetic_trace(rows_for("MV1", [0.7, 0.7, 0.7, 0.7]))
+    trace = synthetic_trace(columns_for("MV1", [0.7, 0.7, 0.7, 0.7]))
     report = compute_metrics(trace)
     assert report.mean_jerk == 0.0
     assert report.max_jerk == 0.0
 
 
 def test_three_step_jerk_arithmetic():
-    trace = synthetic_trace(rows_for("MV1", [0.0, 0.1, 0.3]))
+    trace = synthetic_trace(columns_for("MV1", [0.0, 0.1, 0.3]))
     report = compute_metrics(trace)
     assert report.mean_jerk == pytest.approx(1.5)
     assert report.max_jerk == pytest.approx(2.0)
@@ -42,36 +44,30 @@ def test_three_step_jerk_arithmetic():
 
 def test_ttc_ratio_definition():
     # follower 50 m of clear gap behind the merged vehicle, closing at 10 m/s
-    dt = 0.1
-    av = [
-        StepRecord(t=round(k * dt, 9), vid="AV", lane=Lane.MAIN, s=1000.0, v=10.0, a=0.0)
-        for k in range(3)
-    ]
-    mv = [
-        StepRecord(t=round(k * dt, 9), vid="MV1", lane=Lane.MAIN, s=945.0, v=20.0, a=0.0)
-        for k in range(3)
-    ]
-    trace = synthetic_trace(av + mv)
+    n = 3
+    av = ([Lane.MAIN] * n, [1000.0] * n, [10.0] * n, [0.0] * n)
+    mv = ([Lane.MAIN] * n, [945.0] * n, [20.0] * n, [0.0] * n)
+    trace = synthetic_trace({"AV": av, "MV1": mv})
     report = compute_metrics(trace)
     assert report.mean_ttc == pytest.approx(5.0)
     assert not report.ttc_undefined_dominant
 
 
 def test_ttc_undefined_dominant_when_never_closing():
-    trace = synthetic_trace(rows_for("MV1", [0.0, 0.0, 0.0]))
+    trace = synthetic_trace(columns_for("MV1", [0.0, 0.0, 0.0]))
     report = compute_metrics(trace)
     assert report.ttc_undefined_dominant
     assert report.mean_ttc == TTC_CAP
 
 
 def test_short_trace_rejected():
-    trace = synthetic_trace(rows_for("MV1", [0.0]))
+    trace = synthetic_trace(columns_for("MV1", [0.0]))
     with pytest.raises(ValueError):
         compute_metrics(trace)
 
 
 def test_collision_flag_comes_from_trace():
-    trace = synthetic_trace(rows_for("MV1", [0.0, 0.0]), collisions=[(0.1, "a", "b")])
+    trace = synthetic_trace(columns_for("MV1", [0.0, 0.0]), collisions=[(0.1, "a", "b")])
     assert compute_metrics(trace).collided
 
 
@@ -151,3 +147,22 @@ def test_trace_csv_shape():
     assert lines[0] == "t,id,lane,s,v,a,decision,p_star,q_star,k_l,k_u,omega_hat"
     assert len(lines) == 1 + cfg.n_steps * 6
     assert all(line.count(",") == 11 for line in lines)
+
+
+def test_trace_csv_rows_from_columns():
+    from evomerge.runner import DecisionRecord, ManeuverKind
+
+    av = ([Lane.RAMP, Lane.MAIN], [195.0, 196.25], [12.5, 12.5], [0.0, -0.5])
+    mv = ([Lane.MAIN, Lane.MAIN], [180.0, 181.0], [10.0, 10.0], [0.1, 0.2])
+    trace = synthetic_trace({"AV": av, "MV1": mv})
+    trace.decisions = [DecisionRecord(
+        t=0.1, opponent="MV1", p_star=0.0, q_star=1.0, maneuver=ManeuverKind.MERGE_AHEAD,
+        k_l=0.25, k_u=0.75, omega_hat=0.5,
+    )]
+    assert trace_csv(trace).splitlines() == [
+        "t,id,lane,s,v,a,decision,p_star,q_star,k_l,k_u,omega_hat",
+        "0,AV,ramp,195,12.5,0,,,,,,",
+        "0,MV1,main,180,10,0.1,,,,,,",
+        "0.1,AV,main,196.25,12.5,-0.5,merge_ahead[MV1],0,1,0.25,0.75,0.5",
+        "0.1,MV1,main,181,10,0.2,,,,,,",
+    ]

@@ -168,8 +168,11 @@ def test_step_record_count_matches_grid():
     cfg = small_config(seed=1)
     trace = run_scenario(cfg)
     n_steps = cfg.n_steps
+    assert len(trace.t) == n_steps
+    assert list(trace.s) == ["AV", "MV1", "MV2", "MV3", "MV4", "MV5"]
     for vid in ("AV", "MV1", "MV2", "MV3", "MV4", "MV5"):
-        assert len(trace.records_for(vid)) == n_steps
+        for column in (trace.lane, trace.s, trace.v, trace.a):
+            assert len(column[vid]) == n_steps
 
 
 def test_opponent_progression_is_monotone():
@@ -228,7 +231,7 @@ def test_policies_produce_runs():
     for policy in (Policy.NASH, Policy.STACKELBERG):
         trace = run_scenario(cfg, policy)
         assert trace.policy is policy
-        assert len(trace.steps) == cfg.n_steps * 6
+        assert sum(len(column) for column in trace.s.values()) == cfg.n_steps * 6
 
 
 # -- estimation bench --------------------------------------------------------

@@ -18,6 +18,7 @@ from evomerge.traffic import (
     bumper_gap,
     desired_speed,
     headway_from_style,
+    leaders,
     style_accel_limit,
     style_from_headway,
 )
@@ -155,19 +156,75 @@ def test_merging_list_rejects_duplicate_ids():
         merging_list([veh("A", 0.0, 10.0), veh("A", 5.0, 10.0)])
 
 
+def collisions(*states):
+    return check_collision(
+        [st.vid for st in states], [st.lane for st in states],
+        [st.s for st in states], [st.length for st in states],
+    )
+
+
 def test_collision_same_lane_overlap():
-    hits = check_collision([veh("a", 100.0, 10.0), veh("b", 104.0, 10.0)])
+    hits = collisions(veh("a", 100.0, 10.0), veh("b", 104.0, 10.0))
     assert hits == [("a", "b")]
 
 
 def test_collision_different_lanes_ignored():
-    hits = check_collision([veh("a", 100.0, 10.0), veh("b", 104.0, 10.0, lane=Lane.RAMP)])
+    hits = collisions(veh("a", 100.0, 10.0), veh("b", 104.0, 10.0, lane=Lane.RAMP))
     assert hits == []
 
 
 def test_collision_clear_gap():
-    hits = check_collision([veh("a", 100.0, 10.0), veh("b", 105.1, 10.0)])
+    hits = collisions(veh("a", 100.0, 10.0), veh("b", 105.1, 10.0))
     assert hits == []
+
+
+def all_pairs_overlaps(vids, lanes, positions, lengths):
+    """Every same-lane overlapping pair, vehicles ranked by (lane, position, id)."""
+    order = sorted(range(len(vids)), key=lambda i: (lanes[i].value, positions[i], vids[i]))
+    hits = []
+    for x, i in enumerate(order):
+        for j in order[x + 1:]:
+            if lanes[i] is lanes[j] and abs(positions[i] - positions[j]) < 0.5 * (lengths[i] + lengths[j]):
+                hits.append(tuple(sorted((vids[i], vids[j]))))
+    return hits
+
+
+# Few distinct positions, so exact ties and touching bodies are common.
+POSITIONS = st.sampled_from([0.0, 2.5, 4.0, 5.0, 9.5, 12.0]) | st.floats(-20.0, 20.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(list(Lane)), POSITIONS, st.sampled_from([1.0, 4.5, 5.0, 12.0])),
+        max_size=9,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_collision_check_matches_all_pairs(vehicles, rnd):
+    vids = [f"v{k}" for k in range(len(vehicles))]
+    rnd.shuffle(vids)  # id order independent of list order
+    lanes = [lane for lane, _, _ in vehicles]
+    positions = [s for _, s, _ in vehicles]
+    lengths = [length for _, _, length in vehicles]
+    assert check_collision(vids, lanes, positions, lengths) == all_pairs_overlaps(
+        vids, lanes, positions, lengths
+    )
+
+
+def nearest_ahead(positions, s):
+    """Nearest position strictly ahead of s; ties to the lowest index."""
+    best = None
+    for j, other in enumerate(positions):
+        if other > s and (best is None or other < positions[best]):
+            best = j
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(POSITIONS, max_size=9))
+def test_leaders_are_the_nearest_vehicle_ahead(positions):
+    assert leaders(positions) == [nearest_ahead(positions, s) for s in positions]
 
 
 def test_bumper_gap():
