@@ -60,11 +60,9 @@ from .runner import (
 from .traffic import (
     IDMParams,
     Lane,
-    PriorityQueue,
     VehicleState,
     check_collision,
     idm_accel,
-    merging_list,
     step_kinematics,
 )
 

@@ -187,32 +187,49 @@ def solve_ess(m: PayoffMatrix) -> EquilibriumReport:
     Degenerate games (zero eigenvalues everywhere) yield ess=None rather
     than a false positive.
     """
+    gains = deviation_gains(m)
     fixed: list[FixedPoint] = []
-    stable: list[tuple[StrategyState, float]] = []  # (point, slowest eigenvalue)
-    for point, gains in zip(PURE_POINTS, deviation_gains(m)):
-        ok = max(gains) <= -EIGENVALUE_ZERO_TOL
-        fixed.append(FixedPoint(point=point, eigenvalues=gains, stable=ok))
+    stable: list[StrategyState] = []
+    for point, point_gains in zip(PURE_POINTS, gains):
+        ok = _is_stable(max(point_gains))
+        fixed.append(FixedPoint(point=point, eigenvalues=point_gains, stable=ok))
         if ok:
-            stable.append((point, max(gains)))
+            stable.append(point)
 
     interior = _interior_point(m)
     if interior is not None:
         fixed.append(FixedPoint(point=interior, eigenvalues=None, stable=False))
 
-    pick = None
-    if stable:
-        fastest = min(rate for _, rate in stable)
-        pick = min(
-            (point for point, rate in stable if rate - fastest <= EIGENVALUE_ZERO_TOL),
-            key=lambda point: (point.p, point.q),
-        )
     return EquilibriumReport(
         fixed_points=tuple(fixed),
-        stable_points=tuple(point for point, _ in stable),
-        ess=pick,
+        stable_points=tuple(stable),
+        ess=_operative_ess(gains),
         multiple_stable=len(stable) > 1,
         interior=interior,
     )
+
+
+def _is_stable(slowest: float) -> bool:
+    """Whether a pure point with this slowest (larger) eigenvalue is asymptotically stable."""
+    return slowest <= -EIGENVALUE_ZERO_TOL
+
+
+def _operative_ess(gains: tuple[tuple[float, float], ...]) -> Optional[StrategyState]:
+    """The ``ess`` of :func:`solve_ess`, from the :func:`deviation_gains` table alone.
+
+    Among the stable pure points, the one with the smallest slowest
+    eigenvalue; slowest eigenvalues within ``EIGENVALUE_ZERO_TOL`` of the
+    smallest tie and go to the smaller (p, q).  None when no point is stable.
+    Callers that read only the operative point skip the report's other fields.
+    """
+    slowest = [max(point_gains) for point_gains in gains]
+    # When any point is stable, the overall minimum is a stable point's.
+    fastest = min(slowest)
+    # PURE_POINTS ascend in (p, q), so the first point in the tie band is the smallest.
+    for point, rate in zip(PURE_POINTS, slowest):
+        if rate - fastest <= EIGENVALUE_ZERO_TOL and _is_stable(rate):
+            return point
+    return None
 
 
 def _rk4_step(m: PayoffMatrix, p, q, dt: float):

@@ -150,12 +150,22 @@ def _cost(omega: float, t: float, a: float, safety: float) -> float:
     return omega * t + (1.0 - omega) * a * a + safety
 
 
+def _schedule(ctx: GameContext, role: Role, yields: bool) -> tuple[ArrivalTime, float]:
+    """One player's arrival schedule and the constant acceleration that meets it."""
+    arrival = target_arrival_time(ctx, role, yields)
+    own = ctx.av if role is Role.AV else ctx.mv
+    return arrival, required_avg_accel(own.dist_to_merge, own.speed, arrival.seconds)
+
+
+def _safety(pair: StrategyPair, a_av: float, a_mv: float) -> float:
+    """The conflict term both players of a cell pay."""
+    return conflict_weight(pair) * abs(a_av + a_mv)
+
+
 def cell_costs(ctx: GameContext, pair: StrategyPair) -> CellCosts:
-    av_arr = target_arrival_time(ctx, Role.AV, pair.av_move is AvMove.YIELD)
-    mv_arr = target_arrival_time(ctx, Role.MV, pair.mv_move is MvMove.YIELD)
-    a_av = required_avg_accel(ctx.av.dist_to_merge, ctx.av.speed, av_arr.seconds)
-    a_mv = required_avg_accel(ctx.mv.dist_to_merge, ctx.mv.speed, mv_arr.seconds)
-    safety = conflict_weight(pair) * abs(a_av + a_mv)
+    av_arr, a_av = _schedule(ctx, Role.AV, pair.av_move is AvMove.YIELD)
+    mv_arr, a_mv = _schedule(ctx, Role.MV, pair.mv_move is MvMove.YIELD)
+    safety = _safety(pair, a_av, a_mv)
     return CellCosts(
         j_av=_cost(ctx.av_style.omega, av_arr.seconds, a_av, safety),
         j_mv=_cost(ctx.mv_style.omega, mv_arr.seconds, a_mv, safety),
@@ -194,9 +204,20 @@ class CellTable:
     __slots__ = ("_av_fitness", "_mv_terms")
 
     def __init__(self, ctx: GameContext) -> None:
-        cells = [cell_costs(ctx, pair) for pair in _PAIRS]
-        self._av_fitness = tuple(-c.j_av for c in cells)
-        self._mv_terms = tuple((c.t_mv, c.a_mv, c.safety) for c in cells)
+        # Each player has two schedules; the four cells only pair them up.
+        av = {move: _schedule(ctx, Role.AV, move is AvMove.YIELD) for move in AvMove}
+        mv = {move: _schedule(ctx, Role.MV, move is MvMove.YIELD) for move in MvMove}
+        omega_av = ctx.av_style.omega
+        av_fitness = []
+        mv_terms = []
+        for pair in _PAIRS:
+            av_arr, a_av = av[pair.av_move]
+            mv_arr, a_mv = mv[pair.mv_move]
+            safety = _safety(pair, a_av, a_mv)
+            av_fitness.append(-_cost(omega_av, av_arr.seconds, a_av, safety))
+            mv_terms.append((mv_arr.seconds, a_mv, safety))
+        self._av_fitness = tuple(av_fitness)
+        self._mv_terms = tuple(mv_terms)
 
     def matrix_at(self, omega_mv: float) -> PayoffMatrix:
         if not 0.0 <= omega_mv <= 1.0:

@@ -23,10 +23,11 @@ from typing import Optional
 import numpy as np
 
 from .baselines import Policy, merge_profile, select_nash, stackelberg
-from .egt import EquilibriumReport, StrategyState, solve_ess
+from .egt import EquilibriumReport, StrategyState, _operative_ess, deviation_gains, solve_ess
 from .estimation import StyleBelief, observed_reaction, update_belief
 from .payoff import (
     AgentView,
+    CellTable,
     DrivingStyle,
     GameContext,
     Role,
@@ -95,6 +96,12 @@ def decide(report: EquilibriumReport, target: Optional[str] = None) -> Maneuver:
         if ess.p < ess.q:
             return Maneuver(ManeuverKind.MERGE_AHEAD, target=target)
     return Maneuver(ManeuverKind.YIELD_SHIFT, target=target)
+
+
+def _game_style(omega: float) -> float:
+    """A style weight clamped into [1e-9, 1 - 1e-9], where every game is built."""
+    eps = 1e-9
+    return min(max(omega, eps), 1.0 - eps)
 
 
 def merge_control(ctx: GameContext, maneuver: Maneuver) -> float:
@@ -351,8 +358,7 @@ class _Sim:
         return AgentView(dist_to_merge=max(MERGE_POINT_S - self.s[i], 0.0), speed=max(self.v[i], 0.1))
 
     def context_for(self, opponent: str, omega_hat: float) -> GameContext:
-        eps = 1e-9
-        omega_hat = min(max(omega_hat, eps), 1.0 - eps)
+        omega_hat = _game_style(omega_hat)
         return GameContext(
             av=self.game_view(0),
             mv=self.game_view(self.index[opponent]),
@@ -683,32 +689,31 @@ def run_estimation_bench(
         sim.place(av)
         sim.place(mv)
 
+        # One kinematic context serves both games: the prediction at the
+        # belief midpoint and the driver's own at its true style.
         ctx = sim.context_for(opp, belief.omega_hat)
-        report = solve_ess(build_matrix(ctx))
-        if report.ess is None:
+        table = CellTable(ctx)
+        ess = _operative_ess(deviation_gains(table.matrix_at(ctx.mv_style.omega)))
+        if ess is None:
             rounds.append(EstimationRound(
                 t=t, k_l=belief.k_l, k_u=belief.k_u, omega_hat=belief.omega_hat,
                 predicted_q=None, accelerated=False, updated=False,
             ))
             continue
 
-        # The driver's action comes from its own equilibrium at its true
-        # style, evaluated on the identical kinematic context.
-        truth = solve_ess(build_matrix(sim.context_for(opp, true_omega)))
-        if truth.ess is not None and truth.ess.q == 0.0:
+        truth = _operative_ess(deviation_gains(table.matrix_at(_game_style(true_omega))))
+        if truth is not None and truth.q == 0.0:
             u_mv = BENCH_PUSH_ACCEL
-        elif truth.ess is not None and truth.ess.q == 1.0:
+        elif truth is not None and truth.q == 1.0:
             u_mv = BENCH_YIELD_DECEL
         else:
             u_mv = 0.0
-        u_av = merge_control(ctx, Maneuver(ManeuverKind.MERGE_AHEAD, target=opp))
         v_before = mv.v
         for _ in range(cfg.steps_per_period):
-            av = step_kinematics(av, u_av, cfg.dt)
             mv = step_kinematics(mv, u_mv, cfg.dt)
 
         reaction = observed_reaction(mv.v, v_before, cfg.reaction_deadband)
-        new_belief = update_belief(belief, report.ess, reaction, ctx)
+        new_belief = update_belief(belief, ess, reaction, ctx)
         updated = new_belief != belief
         belief = new_belief
         if updated:
@@ -718,7 +723,7 @@ def run_estimation_bench(
 
         rounds.append(EstimationRound(
             t=t, k_l=belief.k_l, k_u=belief.k_u, omega_hat=belief.omega_hat,
-            predicted_q=report.ess.q, accelerated=reaction.accelerated, updated=updated,
+            predicted_q=ess.q, accelerated=reaction.accelerated, updated=updated,
         ))
 
     return EstimationResult(

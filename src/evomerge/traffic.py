@@ -1,4 +1,4 @@
-"""Vehicle kinematics, IDM car-following, queue formation, collision checks.
+"""Vehicle kinematics, IDM car-following, leader search, collision checks.
 
 The road is modeled as two parallel lanes sharing one arc-length coordinate:
 the main lane and the ramp, meeting at the merge point.  Geometry follows
@@ -10,7 +10,7 @@ downstream of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import sub
 from typing import Optional, Sequence
@@ -77,6 +77,8 @@ class IDMParams:
     b: float = 2.0
     s0: float = 2.0
     delta: float = 4.0
+    #: 2 sqrt(a_max b), the denominator of the dynamic term of s*.
+    brake_scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("v0", "T", "a_max", "b", "s0"):
@@ -84,6 +86,7 @@ class IDMParams:
                 raise ValueError(f"IDM parameter {name} must be positive")
         if self.delta < 1.0:
             raise ValueError("delta must be >= 1")
+        object.__setattr__(self, "brake_scale", 2.0 * math.sqrt(self.a_max * self.b))
 
 
 #: Stand-in gap when a vehicle has no leader.
@@ -100,39 +103,14 @@ def idm_accel(p: IDMParams, v: float, gap: float, dv: float) -> float:
     """
     if gap <= 0.0:
         raise ValueError(f"non-positive gap {gap}: vehicles already overlap")
-    s_star = p.s0 + v * p.T + v * dv / (2.0 * math.sqrt(p.a_max * p.b))
+    s_star = p.s0 + v * p.T + v * dv / p.brake_scale
     a = p.a_max * (1.0 - (v / p.v0) ** p.delta - (s_star / gap) ** 2)
     return min(max(a, -EMERGENCY_DECEL), p.a_max)
-
-
-@dataclass(frozen=True, slots=True)
-class PriorityQueue:
-    """Vehicle ids ordered by projected merge-point arrival, best first."""
-
-    order: tuple[str, ...]
-
-    def rank_of(self, vid: str) -> int:
-        """1-based priority of a vehicle."""
-        return self.order.index(vid) + 1
 
 
 def projected_arrival(state: VehicleState) -> float:
     """Time to the merge point at current speed; negative once past it."""
     return state.dist_to_merge / max(state.v, 1e-9)
-
-
-def merging_list(states: Sequence[VehicleState]) -> PriorityQueue:
-    """Priority queue by projected arrival; ties go to the main lane, then id."""
-    if not states:
-        raise ValueError("merging_list needs at least one vehicle")
-    ids = [s.vid for s in states]
-    if len(set(ids)) != len(ids):
-        raise ValueError("vehicle ids must be unique")
-    ranked = sorted(
-        states,
-        key=lambda s: (projected_arrival(s), 0 if s.lane is Lane.MAIN else 1, s.vid),
-    )
-    return PriorityQueue(order=tuple(s.vid for s in ranked))
 
 
 def bumper_gap(rear: VehicleState, front: VehicleState) -> float:

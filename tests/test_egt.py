@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evomerge import (
@@ -18,7 +18,7 @@ from evomerge import (
     replicator_rhs,
     solve_ess,
 )
-from evomerge.egt import PURE_POINTS
+from evomerge.egt import EIGENVALUE_ZERO_TOL, PURE_POINTS, _operative_ess
 
 from conftest import assert_close
 
@@ -135,6 +135,28 @@ def test_solve_ess_near_tie_goes_to_smaller_profile():
     m = PayoffMatrix(u11=-1.0, u12=0.0, u21=0.0, u22=-1.5,
                      v11=-1.5, v12=0.0, v21=0.0, v22=-1.0)
     assert solve_ess(m).ess == StrategyState(1.0, 0.0)
+
+
+# Half the games have small integer entries, so ties and zero gains are common.
+tie_prone = st.builds(PayoffMatrix, *([st.integers(-2, 2).map(float)] * 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices, tie_prone))
+@example(PayoffMatrix(-1.0, 0.0, 0.0, -1.0, -1.0, 0.0, 0.0, -1.0))  # (0, 1) and (1, 0) tie exactly
+def test_operative_ess_is_the_reported_ess(m):
+    report = solve_ess(m)
+    assert _operative_ess(deviation_gains(m)) == report.ess
+    # the documented rule, applied to the report's own classification
+    stable = [(max(fp.eigenvalues), fp.point) for fp in report.fixed_points if fp.stable]
+    expected = None
+    if stable:
+        fastest = min(rate for rate, _ in stable)
+        expected = min(
+            (point for rate, point in stable if rate - fastest <= EIGENVALUE_ZERO_TOL),
+            key=lambda point: (point.p, point.q),
+        )
+    assert report.ess == expected
 
 
 def test_solve_ess_reports_all_pure_points():

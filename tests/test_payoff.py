@@ -229,6 +229,7 @@ def test_zero_acceleration_consistency():
 @given(dists, speeds, dists, speeds, headways, weights, weights)
 @example(10.0, 3.0, 10.0, 2.0, 3.0, 0.5, 0.5)
 @example(36.0, 11.0, 242.0, 5.0, 1.5, 0.5, 0.9)  # (1-w)*a*a != (1-w)*(a*a) here
+@example(10.0, 10.0, 10.0, 5.0, 1.5, 0.5, 0.5)  # both go branches at ARRIVAL_TIME_FLOOR
 def test_cell_table_matches_build_matrix(d_av, v_av, d_mv, v_mv, T, w_av, w_mv):
     ctx = ctx_for(d_av, v_av, d_mv, v_mv, T, w_av, w_mv)
     m = build_matrix(ctx)

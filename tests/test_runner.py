@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,16 +18,30 @@ from evomerge import (
     StrategyState,
     VehicleSpec,
     VehicleState,
+    build_matrix,
     decide,
     execute_lane_change,
     merge_control,
     run_estimation_bench,
     run_scenario,
     solve_ess,
+    step_kinematics,
 )
 from evomerge.baselines import Policy
 from evomerge.metrics import trace_csv
-from evomerge.runner import HEADWAY_RANGE
+from evomerge.estimation import StyleBelief, observed_reaction, update_belief
+from evomerge.runner import (
+    AV_ID,
+    BENCH_PUSH_ACCEL,
+    BENCH_TAU_FAR,
+    BENCH_TAU_NEAR,
+    BENCH_TAU_STEP,
+    BENCH_YIELD_DECEL,
+    HEADWAY_RANGE,
+    EstimationRound,
+    _Sim,
+)
+from evomerge.traffic import MERGE_POINT_S
 
 
 def ctx_for(d_av, v_av, d_mv, v_mv, headway=2.0):
@@ -260,3 +275,69 @@ def test_bench_rejects_bad_inputs():
         run_estimation_bench(cfg, 0.0)
     with pytest.raises(ValueError):
         run_estimation_bench(cfg, 0.5, tau_far=3.0, tau_near=5.0)
+
+
+def reference_bench(cfg, true_omega, seed):
+    """The estimation bench round by round: full reports, both games built separately, both vehicles stepped."""
+    cfg = replace(cfg, seed=seed)
+    sim = _Sim(cfg, Policy.EGT)
+    opp = sim.opponent()
+    av, mv = sim.view(0), sim.view(sim.index[opp])
+    offset = mv.dist_to_merge - av.dist_to_merge
+    v_av, v_mv = av.v, mv.v
+    belief = StyleBelief()
+    rounds = []
+    contained = True
+    n_updates = 0
+    leg = int(math.floor((BENCH_TAU_FAR - BENCH_TAU_NEAR) / BENCH_TAU_STEP)) + 1
+    schedule = [BENCH_TAU_FAR - k * BENCH_TAU_STEP for k in range(leg)]
+    schedule += list(reversed(schedule[:-1]))
+    for k, tau in enumerate(schedule):
+        t = k * cfg.decision_period
+        av = VehicleState(vid=AV_ID, lane=Lane.RAMP, s=MERGE_POINT_S - tau * v_av, v=v_av)
+        mv = VehicleState(vid=opp, lane=Lane.MAIN, s=av.s - offset, v=v_mv)
+        sim.place(av)
+        sim.place(mv)
+        ctx = sim.context_for(opp, belief.omega_hat)
+        report = solve_ess(build_matrix(ctx))
+        if report.ess is None:
+            rounds.append(EstimationRound(
+                t=t, k_l=belief.k_l, k_u=belief.k_u, omega_hat=belief.omega_hat,
+                predicted_q=None, accelerated=False, updated=False,
+            ))
+            continue
+        truth = solve_ess(build_matrix(sim.context_for(opp, true_omega)))
+        if truth.ess is not None and truth.ess.q == 0.0:
+            u_mv = BENCH_PUSH_ACCEL
+        elif truth.ess is not None and truth.ess.q == 1.0:
+            u_mv = BENCH_YIELD_DECEL
+        else:
+            u_mv = 0.0
+        u_av = merge_control(ctx, Maneuver(ManeuverKind.MERGE_AHEAD, target=opp))
+        v_before = mv.v
+        for _ in range(cfg.steps_per_period):
+            av = step_kinematics(av, u_av, cfg.dt)
+            mv = step_kinematics(mv, u_mv, cfg.dt)
+        reaction = observed_reaction(mv.v, v_before, cfg.reaction_deadband)
+        new_belief = update_belief(belief, report.ess, reaction, ctx)
+        updated = new_belief != belief
+        belief = new_belief
+        n_updates += updated
+        if not (belief.k_l - 1e-9 <= true_omega <= belief.k_u + 1e-9):
+            contained = False
+        rounds.append(EstimationRound(
+            t=t, k_l=belief.k_l, k_u=belief.k_u, omega_hat=belief.omega_hat,
+            predicted_q=report.ess.q, accelerated=reaction.accelerated, updated=updated,
+        ))
+    return rounds, belief, n_updates, contained
+
+
+@pytest.mark.parametrize("true_omega", [0.05, 0.5, 0.95, 1e-12])  # the last is clamped to 1e-9
+def test_bench_matches_reference_loop(true_omega):
+    cfg = bench_config()
+    result = run_estimation_bench(cfg, true_omega, seed=3)
+    rounds, belief, n_updates, contained = reference_bench(cfg, true_omega, seed=3)
+    assert result.rounds == rounds
+    assert result.belief == belief
+    assert result.n_updates == n_updates
+    assert result.contained == contained

@@ -10,7 +10,6 @@ from evomerge import (
     VehicleState,
     check_collision,
     idm_accel,
-    merging_list,
     step_kinematics,
 )
 from evomerge.traffic import (
@@ -117,43 +116,6 @@ def test_idm_clamps_to_emergency_decel():
 def test_idm_monotone_in_gap(v, g1, g2, dv):
     lo, hi = min(g1, g2), max(g1, g2)
     assert idm_accel(DEFAULT, v, hi, dv) >= idm_accel(DEFAULT, v, lo, dv)
-
-
-def table_two_states():
-    rows = [("MV1", 173.2), ("MV2", 147.4), ("MV3", 121.6), ("MV4", 85.5), ("MV5", 70.0)]
-    states = [veh(vid, 200.0 - d, 10.0) for vid, d in rows]
-    states.append(veh("AV", 100.0, 10.0, lane=Lane.RAMP))
-    return states
-
-
-def test_merging_list_table_two_queue():
-    queue = merging_list(table_two_states())
-    assert queue.order == ("MV5", "MV4", "AV", "MV3", "MV2", "MV1")
-    assert queue.rank_of("AV") == 3
-
-
-def test_merging_list_singleton():
-    queue = merging_list([veh("MV1", 100.0, 10.0)])
-    assert queue.order == ("MV1",)
-
-
-def test_merging_list_tie_breaks_main_lane_first():
-    a = veh("Z", 100.0, 10.0, lane=Lane.MAIN)
-    b = veh("A", 100.0, 10.0, lane=Lane.RAMP)
-    assert merging_list([b, a]).order == ("Z", "A")
-
-
-def test_merging_list_is_permutation_and_stable():
-    states = table_two_states()
-    q1 = merging_list(states)
-    q2 = merging_list(states)
-    assert q1 == q2
-    assert sorted(q1.order) == sorted(s.vid for s in states)
-
-
-def test_merging_list_rejects_duplicate_ids():
-    with pytest.raises(ValueError):
-        merging_list([veh("A", 0.0, 10.0), veh("A", 5.0, 10.0)])
 
 
 def collisions(*states):
