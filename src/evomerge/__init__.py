@@ -9,7 +9,6 @@ policies run on the identical payoff matrices for comparison.
 from .baselines import Policy, merge_profile, nash_pure, select_nash, stackelberg
 from .egt import (
     EquilibriumReport,
-    FixedPoint,
     PayoffMatrix,
     StrategyState,
     deviation_gains,

@@ -24,7 +24,9 @@ class ConfigError(ValueError):
 _SIM_KEYS = {
     name: kind for name, kind in get_type_hints(SimConfig).items() if name not in ("vehicles", "av")
 }
-_AV_KEYS = {"d": float, "v": float, "omega": float}
+#: The AvSpec field each [av] key sets; omitted keys keep the AvSpec defaults.
+_AV_FIELDS = {"d": "dist_to_merge", "v": "speed", "omega": "omega"}
+_AV_KEYS = {key: get_type_hints(AvSpec)[name] for key, name in _AV_FIELDS.items()}
 _VEHICLE_KEYS = {"id": str, "lane": str, "d": float, "v": float, "headway": str}
 
 
@@ -34,7 +36,7 @@ def _parse_headway(text: str, where: str) -> HeadwaySpec:
         try:
             return HeadwaySpec(kind="fixed", value=float(rest))
         except ValueError as exc:
-            raise ConfigError(f"{where}: bad fixed headway {text!r}") from exc
+            raise ConfigError(f"{where}: bad fixed headway {text!r}: {exc}") from exc
     if kind == "normal":
         parts = rest.split(",")
         if len(parts) != 2:
@@ -42,7 +44,7 @@ def _parse_headway(text: str, where: str) -> HeadwaySpec:
         try:
             return HeadwaySpec(kind="normal", value=float(parts[0]), sigma=float(parts[1]))
         except ValueError as exc:
-            raise ConfigError(f"{where}: bad normal headway {text!r}") from exc
+            raise ConfigError(f"{where}: bad normal headway {text!r}: {exc}") from exc
     raise ConfigError(f"{where}: headway must be fixed:<x> or normal:<mean>,<sigma>, got {text!r}")
 
 
@@ -99,12 +101,7 @@ def parse_scenario(text: str, source: str = "<string>") -> SimConfig:
             if seen_av:
                 raise ConfigError(f"{source}:{lineno}: duplicate [av] section")
             seen_av = True
-            typed = _typed(raw, _AV_KEYS, "av", source)
-            av_kwargs = {
-                "dist_to_merge": typed.get("d", AvSpec.dist_to_merge),
-                "speed": typed.get("v", AvSpec.speed),
-                "omega": typed.get("omega", AvSpec.omega),
-            }
+            av_kwargs = {_AV_FIELDS[key]: value for key, value in _typed(raw, _AV_KEYS, "av", source).items()}
         elif name == "vehicle":
             typed = _typed(raw, _VEHICLE_KEYS, "vehicle", source)
             for required in ("id", "d", "v", "headway"):
@@ -113,12 +110,11 @@ def parse_scenario(text: str, source: str = "<string>") -> SimConfig:
             lane = typed.get("lane", "main").lower()
             if lane != "main":
                 raise ConfigError(f"{source}:{lineno}: only main-lane vehicles are configurable, got {lane!r}")
-            vehicles.append(VehicleSpec(
-                vid=typed["id"],
-                dist_to_merge=typed["d"],
-                speed=typed["v"],
-                headway=_parse_headway(typed["headway"], f"{source}:{lineno}"),
-            ))
+            headway = _parse_headway(typed["headway"], f"{source}:{lineno}")
+            try:
+                vehicles.append(VehicleSpec(typed["id"], typed["d"], typed["v"], headway))
+            except ValueError as exc:
+                raise ConfigError(f"{source}:{lineno}: {exc}") from exc
         else:
             raise ConfigError(f"{source}:{lineno}: unknown section [{name}]")
 

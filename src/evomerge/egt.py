@@ -130,34 +130,33 @@ def deviation_gains(m: PayoffMatrix) -> tuple[tuple[float, float], ...]:
 
 
 @dataclass(frozen=True, slots=True)
-class FixedPoint:
-    point: StrategyState
-    eigenvalues: Optional[tuple[float, float]]  # None for the interior point
-    stable: bool
-
-
-@dataclass(frozen=True, slots=True)
 class EquilibriumReport:
-    """Rest points of the replicator system with stability classification.
+    """Stable rest points of the replicator system and the operative equilibrium.
 
-    ``ess`` carries the operative equilibrium: the unique stable pure point,
-    or, when several pure points are stable, the most strongly attracting one
+    ``stable_points`` lists the asymptotically stable pure points in
+    :data:`PURE_POINTS` order; their eigenvalues are the
+    :func:`deviation_gains` of the matrix.  ``ess`` carries the operative
+    equilibrium: the unique stable pure point, or, when several pure points
+    are stable, the most strongly attracting one
     (smallest slowest eigenvalue; slowest eigenvalues within
     ``EIGENVALUE_ZERO_TOL`` of each other count as tied and go to the smaller
     (p, q)).  ``multiple_stable`` flags the latter case so the decision layer
     can fall back conservatively; ``ess`` is None when no pure point is
-    stable.
+    stable.  ``interior`` is the interior rest point, when it exists; it is
+    never stable.
     """
 
-    fixed_points: tuple[FixedPoint, ...]
     stable_points: tuple[StrategyState, ...]
     ess: Optional[StrategyState]
-    multiple_stable: bool
     interior: Optional[StrategyState]
 
     @property
+    def multiple_stable(self) -> bool:
+        return len(self.stable_points) > 1
+
+    @property
     def has_unique_ess(self) -> bool:
-        return self.ess is not None and not self.multiple_stable
+        return len(self.stable_points) == 1
 
 
 def _interior_point(m: PayoffMatrix) -> Optional[StrategyState]:
@@ -178,34 +177,21 @@ def _interior_point(m: PayoffMatrix) -> Optional[StrategyState]:
 
 
 def solve_ess(m: PayoffMatrix) -> EquilibriumReport:
-    """Enumerate rest points, classify stability, and extract the ESS.
+    """Classify the rest points' stability and extract the ESS.
 
-    The four pure points are always reported with their eigenvalues.  The
-    interior rest point, when it exists, is listed but never stable: in
-    two-population bimatrix replicator dynamics the Jacobian at an interior
-    rest point has zero trace, so it cannot be asymptotically stable.
-    Degenerate games (zero eigenvalues everywhere) yield ess=None rather
-    than a false positive.
+    A pure point is stable when both its eigenvalues are strictly negative.
+    The interior rest point, when it exists, is reported but never stable:
+    in two-population bimatrix replicator dynamics the Jacobian at an
+    interior rest point has zero trace, so it cannot be asymptotically
+    stable.  Degenerate games (zero eigenvalues everywhere) yield ess=None
+    rather than a false positive.
     """
     gains = deviation_gains(m)
-    fixed: list[FixedPoint] = []
-    stable: list[StrategyState] = []
-    for point, point_gains in zip(PURE_POINTS, gains):
-        ok = _is_stable(max(point_gains))
-        fixed.append(FixedPoint(point=point, eigenvalues=point_gains, stable=ok))
-        if ok:
-            stable.append(point)
-
-    interior = _interior_point(m)
-    if interior is not None:
-        fixed.append(FixedPoint(point=interior, eigenvalues=None, stable=False))
-
+    stable = [point for point, point_gains in zip(PURE_POINTS, gains) if _is_stable(max(point_gains))]
     return EquilibriumReport(
-        fixed_points=tuple(fixed),
         stable_points=tuple(stable),
         ess=_operative_ess(gains),
-        multiple_stable=len(stable) > 1,
-        interior=interior,
+        interior=_interior_point(m),
     )
 
 

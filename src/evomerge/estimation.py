@@ -28,10 +28,6 @@ from typing import Optional
 from .egt import EIGENVALUE_ZERO_TOL, StrategyState, deviation_gains, solve_ess
 from .payoff import CellTable, GameContext
 
-#: Speed deadband below which a change does not count as acceleration.
-#: Covers numeric drift in the car-following integration.
-SPEED_DEADBAND = 1e-3
-
 #: Style-weight breakpoints closer than this to each other, to the estimate
 #: or to the ends of [0, 1] are merged.  Rounding in the matrices splits one
 #: exact root into several a few ulps apart; a segment that narrow is below
@@ -63,8 +59,11 @@ class Reaction:
     accelerated: bool
 
 
-def observed_reaction(v_now: float, v_prev: float, deadband: float = SPEED_DEADBAND) -> Reaction:
-    """Classify two consecutive speed observations as acceleration or not."""
+def observed_reaction(v_now: float, v_prev: float, deadband: float) -> Reaction:
+    """Classify two consecutive speed observations as acceleration or not.
+
+    A speed gain of ``deadband`` m/s or less does not count as acceleration.
+    """
     return Reaction(accelerated=v_now > v_prev + deadband)
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .baselines import Policy
 from .runner import AV_ID, DecisionRecord, SimConfig, SimTrace, run_scenario
-from .traffic import VEHICLE_LENGTH, Lane
+from .traffic import Lane, body_gap
 
 
 #: TTC samples are capped here; uncapped samples from barely-closing pairs
@@ -50,7 +50,7 @@ class MetricsReport:
             raise ValueError(f"mean_ttc outside (0, {TTC_CAP}]: {self.mean_ttc}")
 
 
-def compute_metrics(trace: SimTrace, ttc_cap: float = TTC_CAP) -> MetricsReport:
+def compute_metrics(trace: SimTrace) -> MetricsReport:
     """Metrics of one completed trace.
 
     Jerk pools first differences of recorded acceleration over all main-road
@@ -85,13 +85,13 @@ def compute_metrics(trace: SimTrace, ttc_cap: float = TTC_CAP) -> MetricsReport:
                 closing = v[k] - av_v[k]
                 if closing <= 0.0:
                     continue
-                gap = (av_s[k] - s[k]) - VEHICLE_LENGTH  # bumper to bumper at nominal length
+                gap = body_gap(s[k], av_s[k])
                 if gap <= 0.0:
                     continue
-                ttc_samples.append(min(gap / closing, ttc_cap))
+                ttc_samples.append(min(gap / closing, TTC_CAP))
 
     undefined = not ttc_samples
-    mean_ttc = ttc_cap if undefined else sum(ttc_samples) / len(ttc_samples)
+    mean_ttc = TTC_CAP if undefined else sum(ttc_samples) / len(ttc_samples)
 
     return MetricsReport(
         mean_jerk=sum(jerks) / len(jerks),

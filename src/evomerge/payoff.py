@@ -94,27 +94,18 @@ class GameContext:
             raise ValueError(f"headway_t must be positive, got {self.headway_t}")
 
 
-@dataclass(frozen=True, slots=True)
-class ArrivalTime:
-    seconds: float
-    infeasible: bool  # go branch hit the floor
-
-
-def target_arrival_time(ctx: GameContext, role: Role, yields: bool) -> ArrivalTime:
-    """Arrival schedule implied by one player's decision.
+def target_arrival_time(ctx: GameContext, role: Role, yields: bool) -> float:
+    """Arrival time, seconds, implied by one player's decision.
 
     The schedule is anchored on the opponent's free-flight arrival d/v:
     yielding targets T seconds after it, going targets T seconds before it.
-    A go-branch result at or below the floor is clamped and flagged.
+    A go-branch result below the floor is clamped to it.
     """
     opp = ctx.mv if role is Role.AV else ctx.av
     base = opp.dist_to_merge / opp.speed
     if yields:
-        return ArrivalTime(base + ctx.headway_t, False)
-    t = base - ctx.headway_t
-    if t <= ARRIVAL_TIME_FLOOR:
-        return ArrivalTime(ARRIVAL_TIME_FLOOR, True)
-    return ArrivalTime(t, False)
+        return base + ctx.headway_t
+    return max(base - ctx.headway_t, ARRIVAL_TIME_FLOOR)
 
 
 def required_avg_accel(d: float, v: float, t: float) -> float:
@@ -142,7 +133,6 @@ class CellCosts:
     a_av: float
     a_mv: float
     safety: float  # conflict term both players pay
-    infeasible: bool
 
 
 def _cost(omega: float, t: float, a: float, safety: float) -> float:
@@ -150,11 +140,11 @@ def _cost(omega: float, t: float, a: float, safety: float) -> float:
     return omega * t + (1.0 - omega) * a * a + safety
 
 
-def _schedule(ctx: GameContext, role: Role, yields: bool) -> tuple[ArrivalTime, float]:
-    """One player's arrival schedule and the constant acceleration that meets it."""
+def _schedule(ctx: GameContext, role: Role, yields: bool) -> tuple[float, float]:
+    """One player's arrival time and the constant acceleration that meets it."""
     arrival = target_arrival_time(ctx, role, yields)
     own = ctx.av if role is Role.AV else ctx.mv
-    return arrival, required_avg_accel(own.dist_to_merge, own.speed, arrival.seconds)
+    return arrival, required_avg_accel(own.dist_to_merge, own.speed, arrival)
 
 
 def _safety(pair: StrategyPair, a_av: float, a_mv: float) -> float:
@@ -163,18 +153,17 @@ def _safety(pair: StrategyPair, a_av: float, a_mv: float) -> float:
 
 
 def cell_costs(ctx: GameContext, pair: StrategyPair) -> CellCosts:
-    av_arr, a_av = _schedule(ctx, Role.AV, pair.av_move is AvMove.YIELD)
-    mv_arr, a_mv = _schedule(ctx, Role.MV, pair.mv_move is MvMove.YIELD)
+    t_av, a_av = _schedule(ctx, Role.AV, pair.av_move is AvMove.YIELD)
+    t_mv, a_mv = _schedule(ctx, Role.MV, pair.mv_move is MvMove.YIELD)
     safety = _safety(pair, a_av, a_mv)
     return CellCosts(
-        j_av=_cost(ctx.av_style.omega, av_arr.seconds, a_av, safety),
-        j_mv=_cost(ctx.mv_style.omega, mv_arr.seconds, a_mv, safety),
-        t_av=av_arr.seconds,
-        t_mv=mv_arr.seconds,
+        j_av=_cost(ctx.av_style.omega, t_av, a_av, safety),
+        j_mv=_cost(ctx.mv_style.omega, t_mv, a_mv, safety),
+        t_av=t_av,
+        t_mv=t_mv,
         a_av=a_av,
         a_mv=a_mv,
         safety=safety,
-        infeasible=av_arr.infeasible or mv_arr.infeasible,
     )
 
 
@@ -211,11 +200,11 @@ class CellTable:
         av_fitness = []
         mv_terms = []
         for pair in _PAIRS:
-            av_arr, a_av = av[pair.av_move]
-            mv_arr, a_mv = mv[pair.mv_move]
+            t_av, a_av = av[pair.av_move]
+            t_mv, a_mv = mv[pair.mv_move]
             safety = _safety(pair, a_av, a_mv)
-            av_fitness.append(-_cost(omega_av, av_arr.seconds, a_av, safety))
-            mv_terms.append((mv_arr.seconds, a_mv, safety))
+            av_fitness.append(-_cost(omega_av, t_av, a_av, safety))
+            mv_terms.append((t_mv, a_mv, safety))
         self._av_fitness = tuple(av_fitness)
         self._mv_terms = tuple(mv_terms)
 

@@ -42,7 +42,6 @@ from .traffic import (
     IDMParams,
     Lane,
     MERGE_POINT_S,
-    VEHICLE_LENGTH,
     VehicleState,
     advance,
     body_gap,
@@ -91,11 +90,8 @@ def decide(report: EquilibriumReport, target: Optional[str] = None) -> Maneuver:
     both-push point, no stable point, and multiple stable points, falls back
     to yielding: the conservative default preserves the safety claims.
     """
-    if report.has_unique_ess and report.ess is not None:
-        ess = report.ess
-        if ess.p < ess.q:
-            return Maneuver(ManeuverKind.MERGE_AHEAD, target=target)
-    return Maneuver(ManeuverKind.YIELD_SHIFT, target=target)
+    merges = merge_profile(report.ess if report.has_unique_ess else None)
+    return Maneuver(ManeuverKind.MERGE_AHEAD if merges else ManeuverKind.YIELD_SHIFT, target=target)
 
 
 def _game_style(omega: float) -> float:
@@ -111,7 +107,7 @@ def merge_control(ctx: GameContext, maneuver: Maneuver) -> float:
     projected arrival, yielding one margin after it; the go-branch time is
     floored and the command clamped to the control authority.
     """
-    t = target_arrival_time(ctx, Role.AV, yields=maneuver.kind is ManeuverKind.YIELD_SHIFT).seconds
+    t = target_arrival_time(ctx, Role.AV, yields=maneuver.kind is ManeuverKind.YIELD_SHIFT)
     u = required_avg_accel(ctx.av.dist_to_merge, ctx.av.speed, t)
     return min(max(u, CONTROL_MIN), CONTROL_MAX)
 
@@ -120,7 +116,7 @@ def execute_lane_change(
     av: VehicleState,
     front: Optional[VehicleState],
     rear: Optional[VehicleState],
-    min_gap: float = 2.0,
+    min_gap: float,
 ) -> tuple[VehicleState, bool]:
     """Reassign the merging vehicle to the main lane if the slot fits.
 
@@ -150,6 +146,10 @@ class HeadwaySpec:
     def __post_init__(self) -> None:
         if self.kind not in ("fixed", "normal"):
             raise ValueError(f"unknown headway kind {self.kind!r}")
+        if self.kind == "fixed" and not self.value > 0.0:
+            raise ValueError(f"fixed headway must be positive, got {self.value}")
+        if self.kind == "normal" and not self.sigma >= 0.0:
+            raise ValueError(f"headway sigma must be >= 0, got {self.sigma}")
 
     def sample(self, rng: np.random.Generator) -> float:
         if self.kind == "fixed":
@@ -169,12 +169,22 @@ class VehicleSpec:
     speed: float
     headway: HeadwaySpec
 
+    def __post_init__(self) -> None:
+        if not self.speed >= 0.0:
+            raise ValueError(f"vehicle {self.vid}: speed must be >= 0, got {self.speed}")
+
 
 @dataclass(frozen=True, slots=True)
 class AvSpec:
     dist_to_merge: float = 100.0
     speed: float = 10.0
     omega: float = 0.5
+
+    def __post_init__(self) -> None:
+        if not self.speed >= 0.0:
+            raise ValueError(f"AV speed must be >= 0, got {self.speed}")
+        if not 0.0 < self.omega < 1.0:
+            raise ValueError(f"AV omega must lie in (0, 1), got {self.omega}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,7 +194,6 @@ class SimConfig:
     duration: float = 10.0
     dt: float = 0.1
     decision_period: float = 1.0
-    horizon: int = 5
     seed: int = 0
     headway_t: float = 2.0       # right-of-way margin in the payoff and control laws
     flow_speed: float = 10.0     # nominal main-road speed anchoring desired speeds
@@ -202,8 +211,8 @@ class SimConfig:
         ratio = self.decision_period / self.dt
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("dt must divide decision_period")
-        if self.decision_period * self.horizon > self.duration + 1e-9:
-            raise ValueError("decision_period * horizon must not exceed duration")
+        if self.n_steps < 2:
+            raise ValueError("duration must span at least 2 steps of dt")
         ids = [v.vid for v in self.vehicles]
         if len(set(ids)) != len(ids) or AV_ID in ids:
             raise ValueError("vehicle ids must be unique and must not shadow the AV")
@@ -281,9 +290,10 @@ class _Prediction:
 class _Sim:
     """Mutable loop state for one scenario run.
 
-    Vehicle state is columnar: ``lane``, ``s``, ``v``, ``a`` and ``length``
-    hold one entry per vehicle, index 0 the merging vehicle and 1..n the
-    main-road vehicles in configuration order (the order of ``ids``).
+    Vehicle state is columnar: ``lane``, ``s`` and ``v`` hold one entry per
+    vehicle, index 0 the merging vehicle and 1..n the main-road vehicles in
+    configuration order (the order of ``ids``).  The merging vehicle has
+    committed to its slot once its lane is the main lane.
     """
 
     def __init__(self, cfg: SimConfig, policy: Policy):
@@ -296,14 +306,12 @@ class _Sim:
 
         self.mv_ids: list[str] = []
         self.idm = [self.av_idm]  # by vehicle index
-        self.true_style: dict[str, float] = {}
         self.headway: dict[str, float] = {}
         for spec in cfg.vehicles:
             headway = spec.headway.sample(rng)
             omega = style_from_headway(headway)
             self.mv_ids.append(spec.vid)
             self.idm.append(idm_params_for_style(omega, headway, cfg.flow_speed, cfg.speed_slack))
-            self.true_style[spec.vid] = omega
             self.headway[spec.vid] = headway
 
         self.ids = [AV_ID, *self.mv_ids]
@@ -312,18 +320,14 @@ class _Sim:
         self.s = [MERGE_POINT_S - cfg.av.dist_to_merge]
         self.s += [MERGE_POINT_S - spec.dist_to_merge for spec in cfg.vehicles]
         self.v = [cfg.av.speed] + [spec.speed for spec in cfg.vehicles]
-        self.a = [0.0] * len(self.ids)
-        self.length = [VEHICLE_LENGTH] * len(self.ids)
         arrival = [projected_arrival(self.view(i)) for i in range(len(self.ids))]
 
         self.beliefs: dict[str, StyleBelief] = {vid: StyleBelief() for vid in self.mv_ids}
         self.pending: Optional[_Prediction] = None
         self.maneuver = Maneuver(ManeuverKind.YIELD_SHIFT, target=None)
-        self.committed = False
         self.front: Optional[int] = None  # index of the AV's leader once merged
         self.prev_accel: list[Optional[float]] = [None] * len(self.ids)
-        self.current_opponent: Optional[str] = None
-        self.game_age = 0  # decision periods spent on the current opponent
+        self.periods = 0  # decision periods played
 
         # Opponent progression: fixed arrival order at t=0, advanced on yields.
         order = sorted(
@@ -340,14 +344,12 @@ class _Sim:
 
     def view(self, i: int) -> VehicleState:
         """Vehicle i as a state object, for the one-vehicle API."""
-        return VehicleState(self.ids[i], self.lane[i], self.s[i], self.v[i], self.a[i], self.length[i])
+        return VehicleState(self.ids[i], self.lane[i], self.s[i], self.v[i])
 
     def place(self, state: VehicleState) -> None:
         """Write a state object back into the columns."""
         i = self.index[state.vid]
-        self.lane[i], self.s[i], self.v[i], self.a[i], self.length[i] = (
-            state.lane, state.s, state.v, state.a, state.length
-        )
+        self.lane[i], self.s[i], self.v[i] = state.lane, state.s, state.v
 
     def opponent(self) -> Optional[str]:
         if self.next_opponent < len(self.opponent_order):
@@ -370,6 +372,7 @@ class _Sim:
     # -- decision period ---------------------------------------------------
 
     def decision_step(self, t: float, trace: SimTrace) -> None:
+        self.periods += 1
         opp = self.opponent()
 
         if opp is None:
@@ -383,11 +386,6 @@ class _Sim:
             self.try_lane_change(t, trace)
             return
 
-        if opp == self.current_opponent:
-            self.game_age += 1
-        else:
-            self.current_opponent = opp
-            self.game_age = 0
         v_opp = self.v[self.index[opp]]
         if self.pending is not None and self.pending.opponent == opp:
             reaction = observed_reaction(v_opp, self.pending.v_opponent, self.cfg.reaction_deadband)
@@ -438,7 +436,6 @@ class _Sim:
         moved, ok = execute_lane_change(self.view(0), front, rear, min_gap=self.av_idm.s0)
         if ok:
             self.place(moved)
-            self.committed = True
             self.front = None if ahead is None else ahead + 1
             self.pending = None
             trace.lane_change_time = t
@@ -455,7 +452,7 @@ class _Sim:
         # Virtual leader: the merging vehicle constrains the driver it is
         # actively gaming while it is still on the ramp and ahead.
         game = None
-        if not self.committed and self.lane[0] is Lane.RAMP:
+        if self.lane[0] is Lane.RAMP:
             opp = self.opponent()
             game = None if opp is None else self.index[opp]
         for i, ahead in enumerate(leaders(self.s[1:]), start=1):
@@ -464,11 +461,11 @@ class _Sim:
         return accel
 
     def av_accel(self) -> float:
-        s, v, length = self.s, self.v, self.length
-        if self.committed:
+        s, v = self.s, self.v
+        if self.lane[0] is Lane.MAIN:
             if self.front is None:
                 return idm_accel(self.av_idm, v[0], FREE_ROAD_GAP, 0.0)
-            gap = body_gap(s[0], length[0], s[self.front], length[self.front])
+            gap = body_gap(s[0], s[self.front])
             if gap <= 0.0:
                 return -EMERGENCY_DECEL
             return idm_accel(self.av_idm, v[0], gap, v[0] - v[self.front])
@@ -477,7 +474,7 @@ class _Sim:
                 # Tail slot claimed: settle in behind the last platoon vehicle.
                 tail = min(range(1, len(self.ids)), key=s.__getitem__)
                 if s[0] < s[tail]:
-                    gap = body_gap(s[0], length[0], s[tail], length[tail])
+                    gap = body_gap(s[0], s[tail])
                     if gap <= 0.0:
                         return -EMERGENCY_DECEL
                     return idm_accel(self.av_idm, v[0], gap, v[0] - v[tail])
@@ -489,30 +486,31 @@ class _Sim:
         u = merge_control(ctx, self.maneuver)
         if (self.maneuver.kind is ManeuverKind.MERGE_AHEAD
                 and self.next_opponent == self.first_opponent
-                and self.game_age < self.cfg.probe_periods):
+                and self.periods <= self.cfg.probe_periods):
             # Proactive acceleration test against the adjacent driver: open
             # the gap so a chase becomes visible before arrival tracking
-            # takes over.  Later games skip the probe; the slot between two
+            # takes over.  Every period so far was played against this first
+            # opponent.  Later games skip the probe; the slot between two
             # platoon vehicles is too tight to accelerate into blindly.
             u = max(u, self.cfg.probe_accel)
         return u
 
     def mv_accel(self, i: int, leader: Optional[int], gamed: bool) -> float:
         """IDM command of main-road vehicle i behind ``leader``, capped by the AV when ``gamed``."""
-        s, v, length = self.s, self.v, self.length
+        s, v = self.s, self.v
         if self.lane[0] is Lane.MAIN and s[0] > s[i] and (leader is None or s[0] < s[leader]):
             leader = 0
 
         if leader is None:
             a = idm_accel(self.idm[i], v[i], FREE_ROAD_GAP, 0.0)
         else:
-            gap = body_gap(s[i], length[i], s[leader], length[leader])
+            gap = body_gap(s[i], s[leader])
             if gap <= 0.0:
                 return -EMERGENCY_DECEL
             a = idm_accel(self.idm[i], v[i], gap, v[i] - v[leader])
 
         if gamed and s[0] > s[i]:
-            gap = body_gap(s[i], length[i], s[0], length[0])
+            gap = body_gap(s[i], s[0])
             if gap <= 0.5:
                 gap = 0.5
             a = min(a, idm_accel(self.idm[i], v[i], gap, v[i] - v[0]))
@@ -535,7 +533,6 @@ class _Sim:
         s, v, dt = self.s, self.v, self.cfg.dt
         for i, u in enumerate(accel):
             s[i], v[i] = advance(s[i], v[i], u, dt)
-        self.a = accel
 
 
 def _by_vehicle(ids: list[str], rows: list) -> dict[str, list]:
@@ -548,12 +545,13 @@ def run_scenario(cfg: SimConfig, policy: Policy = Policy.EGT) -> SimTrace:
     """Run one seeded scenario to completion and return its trace."""
     sim = _Sim(cfg, policy)
     trace = SimTrace(seed=cfg.seed, policy=policy, dt=cfg.dt, duration=cfg.duration,
-                     true_styles=dict(sim.true_style), headways=dict(sim.headway))
+                     true_styles={vid: style_from_headway(h) for vid, h in sim.headway.items()},
+                     headways=dict(sim.headway))
     lanes, positions, speeds, accels = [], [], [], []
 
     for k in range(cfg.n_steps):
         t = round(k * cfg.dt, 9)
-        if k % cfg.steps_per_period == 0 and not sim.committed:
+        if k % cfg.steps_per_period == 0 and sim.lane[0] is Lane.RAMP:
             sim.decision_step(t, trace)
 
         accel = sim.accelerations()
@@ -564,7 +562,7 @@ def run_scenario(cfg: SimConfig, policy: Policy = Policy.EGT) -> SimTrace:
         accels.append(accel)
 
         sim.step(accel)
-        for first, second in check_collision(sim.ids, sim.lane, sim.s, sim.length):
+        for first, second in check_collision(sim.ids, sim.lane, sim.s):
             trace.collisions.append(CollisionEvent(t=round((k + 1) * cfg.dt, 9), first=first, second=second))
 
     trace.lane = _by_vehicle(sim.ids, lanes)
@@ -578,7 +576,7 @@ def run_scenario(cfg: SimConfig, policy: Policy = Policy.EGT) -> SimTrace:
 def _finalize(sim: _Sim, trace: SimTrace) -> None:
     """Final merge position: physical order if merged, projected slot otherwise."""
     mains = sorted(range(1, len(sim.ids)), key=lambda i: -sim.s[i])
-    if sim.committed:
+    if sim.lane[0] is Lane.MAIN:
         ids = [sim.ids[i] for i in sorted([0, *mains], key=lambda i: -sim.s[i])]
     else:
         ids = []
@@ -641,9 +639,6 @@ def run_estimation_bench(
     cfg: SimConfig,
     true_omega: float,
     seed: Optional[int] = None,
-    tau_far: float = BENCH_TAU_FAR,
-    tau_near: float = BENCH_TAU_NEAR,
-    tau_step: float = BENCH_TAU_STEP,
 ) -> EstimationResult:
     """Estimate a synthetic truthful driver's style through repeated probes.
 
@@ -653,15 +648,14 @@ def run_estimation_bench(
     scenario's configured offset.  The driver plays the equilibrium action
     of its own true style for one decision period (a visible push or a
     visible yield) and the resulting speed change is folded into the belief.
-    Walking ``tau`` from far to near and back sweeps the equilibrium's style
+    Walking ``tau`` from ``BENCH_TAU_FAR`` to ``BENCH_TAU_NEAR`` in
+    ``BENCH_TAU_STEP`` steps and back sweeps the equilibrium's style
     boundary up and then down across the whole interval, so both belief
     bounds get pinched against the true weight; updates remain strictly
     chronological.
     """
     if not 0.0 < true_omega < 1.0:
         raise ValueError("true_omega must lie in (0, 1)")
-    if not tau_near < tau_far or tau_step <= 0.0:
-        raise ValueError("need tau_near < tau_far and a positive tau_step")
     cfg = replace(cfg, seed=cfg.seed if seed is None else seed)
     sim = _Sim(cfg, Policy.EGT)
     opp = sim.opponent()
@@ -679,8 +673,8 @@ def run_estimation_bench(
     contained = True
     n_updates = 0
 
-    leg = int(math.floor((tau_far - tau_near) / tau_step)) + 1
-    schedule = [tau_far - k * tau_step for k in range(leg)]
+    leg = int(math.floor((BENCH_TAU_FAR - BENCH_TAU_NEAR) / BENCH_TAU_STEP)) + 1
+    schedule = [BENCH_TAU_FAR - k * BENCH_TAU_STEP for k in range(leg)]
     schedule += list(reversed(schedule[:-1]))
     for k, tau in enumerate(schedule):
         t = k * cfg.decision_period

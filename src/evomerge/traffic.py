@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 # Road geometry (arc-length coordinates, meters).
 MERGE_POINT_S = 200.0
-MERGE_AREA = (120.0, 200.0)
 CONVERGENCE_AREA = (200.0, 260.0)
 
 VEHICLE_LENGTH = 5.0
@@ -40,7 +39,6 @@ class VehicleState:
     s: float
     v: float
     a: float = 0.0
-    length: float = VEHICLE_LENGTH
 
     def __post_init__(self) -> None:
         if self.v < 0.0:
@@ -59,7 +57,7 @@ def step_kinematics(state: VehicleState, u: float, t_s: float) -> VehicleState:
     if t_s <= 0.0:
         raise ValueError(f"step size must be positive, got {t_s}")
     s, v = advance(state.s, state.v, u, t_s)
-    return VehicleState(state.vid, state.lane, s, v, u, state.length)
+    return VehicleState(state.vid, state.lane, s, v, u)
 
 
 def advance(s: float, v: float, u: float, t_s: float) -> tuple[float, float]:
@@ -115,12 +113,12 @@ def projected_arrival(state: VehicleState) -> float:
 
 def bumper_gap(rear: VehicleState, front: VehicleState) -> float:
     """Bumper-to-bumper distance; negative when the bodies overlap."""
-    return body_gap(rear.s, rear.length, front.s, front.length)
+    return body_gap(rear.s, front.s)
 
 
-def body_gap(rear_s: float, rear_length: float, front_s: float, front_length: float) -> float:
+def body_gap(rear_s: float, front_s: float) -> float:
     """:func:`bumper_gap` on plain floats."""
-    return (front_s - rear_s) - 0.5 * (front_length + rear_length)
+    return (front_s - rear_s) - VEHICLE_LENGTH
 
 
 def leaders(positions: Sequence[float]) -> list[Optional[int]]:
@@ -144,25 +142,24 @@ def leaders(positions: Sequence[float]) -> list[Optional[int]]:
 
 
 def check_collision(
-    vids: Sequence[str], lanes: Sequence[Lane], positions: Sequence[float], lengths: Sequence[float]
+    vids: Sequence[str], lanes: Sequence[Lane], positions: Sequence[float]
 ) -> list[tuple[str, str]]:
     """Same-lane pairs whose bodies overlap, one column entry per vehicle.
 
-    Each pair is ordered by id; pairs come in (lane, position, id) order of
-    their first vehicle, the main lane first.
+    Two bodies overlap when their centers are less than one vehicle length
+    apart.  Each pair is ordered by id; pairs come in (lane, position, id)
+    order of their first vehicle, the main lane first.
     """
     hits: list[tuple[str, str]] = []
-    longest = max(lengths, default=0.0)
     spread = sorted(positions)
-    if min(map(sub, spread[1:], spread), default=longest) >= longest:
+    if min(map(sub, spread[1:], spread), default=VEHICLE_LENGTH) >= VEHICLE_LENGTH:
         return hits  # no two bodies, whatever their lanes, come close enough to touch
-    ordered = sorted(zip([lane is Lane.RAMP for lane in lanes], positions, vids, lengths))
-    for i, (lane_a, s_a, vid_a, len_a) in enumerate(ordered):
-        for lane_b, s_b, vid_b, len_b in ordered[i + 1:]:
-            if lane_b is not lane_a or s_b - s_a >= 0.5 * (len_a + longest):
+    ordered = sorted(zip([lane is Lane.RAMP for lane in lanes], positions, vids))
+    for i, (lane_a, s_a, vid_a) in enumerate(ordered):
+        for lane_b, s_b, vid_b in ordered[i + 1:]:
+            if lane_b is not lane_a or s_b - s_a >= VEHICLE_LENGTH:
                 break  # later vehicles are in another lane or farther still
-            if abs(s_a - s_b) < 0.5 * (len_a + len_b):
-                hits.append((vid_a, vid_b) if vid_a < vid_b else (vid_b, vid_a))
+            hits.append((vid_a, vid_b) if vid_a < vid_b else (vid_b, vid_a))
     return hits
 
 
@@ -183,9 +180,6 @@ def headway_from_style(omega: float) -> float:
     return STYLE_HEADWAY_REF - STYLE_HEADWAY_SPAN * omega
 
 
-#: Extra desired speed granted to aggressive styles, m/s at omega = 1.
-DESIRED_SPEED_SLACK = 6.0
-
 #: Style-linked acceleration limit: a_max = ACCEL_BASE + ACCEL_SLOPE * omega.
 #: Aggressive drivers push harder; conservative drivers regain speed lazily,
 #: which keeps their post-yield recovery below the reaction deadband.
@@ -193,13 +187,13 @@ ACCEL_BASE = 0.6
 ACCEL_SLOPE = 1.6
 
 
-def desired_speed(omega: float, flow_speed: float, slack: float = DESIRED_SPEED_SLACK) -> float:
+def desired_speed(omega: float, flow_speed: float, slack: float) -> float:
     """Style-linked IDM desired speed.
 
     Neutral and conservative drivers are content with the prevailing flow
-    speed; aggressive drivers want to travel above it.  This keeps an
-    undisturbed platoon from drifting upward en masse while still letting
-    aggressive drivers close gaps actively.
+    speed; aggressive drivers want to travel above it, by up to ``slack``
+    m/s at omega = 1.  This keeps an undisturbed platoon from drifting upward
+    en masse while still letting aggressive drivers close gaps actively.
     """
     return flow_speed + slack * max(0.0, 2.0 * (omega - 0.5))
 
@@ -208,7 +202,6 @@ def style_accel_limit(omega: float) -> float:
     return ACCEL_BASE + ACCEL_SLOPE * omega
 
 
-def idm_params_for_style(omega: float, headway: float, flow_speed: float,
-                         slack: float = DESIRED_SPEED_SLACK) -> IDMParams:
+def idm_params_for_style(omega: float, headway: float, flow_speed: float, slack: float) -> IDMParams:
     return IDMParams(v0=desired_speed(omega, flow_speed, slack), T=headway,
                      a_max=style_accel_limit(omega))

@@ -40,6 +40,7 @@ def test_minimal_scenario_with_defaults():
     assert cfg.duration == 10.0
     assert cfg.dt == 0.1
     assert cfg.decision_period == 1.0
+    assert cfg.av.omega == 0.5  # no omega line: the AvSpec default
     assert cfg.vehicles[0].headway.kind == "fixed"
 
 
@@ -147,6 +148,23 @@ def test_cli_config_error_exit_code(tmp_path):
     bad.write_text("[sim]\nnope = 1\n")
     code = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+@pytest.mark.parametrize("old, new", [
+    pytest.param("headway = fixed:2.0", "headway = fixed:0", id="zero-headway"),
+    pytest.param("headway = fixed:2.0", "headway = normal:1.0,-0.5", id="negative-sigma"),
+    pytest.param("v = 10.0\n\n[vehicle]", "v = 10.0\nomega = 1.5\n\n[vehicle]", id="av-omega"),
+    pytest.param("d = 120.0\nv = 10.0", "d = 120.0\nv = -1.0", id="negative-speed"),
+    pytest.param("duration = 10.0", "duration = 0.1\ndt = 0.1\ndecision_period = 0.1", id="one-step"),
+])
+def test_cli_bad_values_exit_at_config_time(tmp_path, capsys, old, new):
+    assert MINIMAL.count(old) == 1
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(MINIMAL.replace(old, new))
+    code = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_runtime_error_exit_code(tmp_path):

@@ -147,8 +147,9 @@ tie_prone = st.builds(PayoffMatrix, *([st.integers(-2, 2).map(float)] * 8))
 def test_operative_ess_is_the_reported_ess(m):
     report = solve_ess(m)
     assert _operative_ess(deviation_gains(m)) == report.ess
-    # the documented rule, applied to the report's own classification
-    stable = [(max(fp.eigenvalues), fp.point) for fp in report.fixed_points if fp.stable]
+    # the documented rule, applied to the report's stable points and their gains
+    gains = dict(zip(PURE_POINTS, deviation_gains(m)))
+    stable = [(max(gains[point]), point) for point in report.stable_points]
     expected = None
     if stable:
         fastest = min(rate for rate, _ in stable)
@@ -157,12 +158,6 @@ def test_operative_ess_is_the_reported_ess(m):
             key=lambda point: (point.p, point.q),
         )
     assert report.ess == expected
-
-
-def test_solve_ess_reports_all_pure_points():
-    report = solve_ess(ZERO)
-    pts = [fp.point for fp in report.fixed_points]
-    assert pts[:4] == list(PURE_POINTS)
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,8 +197,6 @@ def test_interior_point_never_stable(m):
     report = solve_ess(m)
     if report.interior is not None:
         assert report.interior not in report.stable_points
-        inner = [fp for fp in report.fixed_points if fp.point == report.interior]
-        assert inner and not inner[0].stable
 
 
 def test_integrate_constant_at_pure_point():

@@ -41,16 +41,16 @@ def test_belief_invariants():
 
 
 def test_observed_reaction_equality_is_not_acceleration():
-    assert observed_reaction(10.0, 10.0) == Reaction(False)
+    assert observed_reaction(10.0, 10.0, 1e-3) == Reaction(False)
 
 
 def test_observed_reaction_clear_increase():
-    assert observed_reaction(10.5, 10.0) == Reaction(True)
+    assert observed_reaction(10.5, 10.0, 1e-3) == Reaction(True)
 
 
 def test_observed_reaction_deadband():
-    assert observed_reaction(10.0005, 10.0) == Reaction(False)
-    assert observed_reaction(10.002, 10.0) == Reaction(True)
+    assert observed_reaction(10.0005, 10.0, 1e-3) == Reaction(False)
+    assert observed_reaction(10.002, 10.0, 1e-3) == Reaction(True)
 
 
 def test_stability_interval_worked_context(worked_ctx):

@@ -51,27 +51,20 @@ def test_agent_view_validation():
 
 
 def test_arrival_time_go_branch():
-    arr = target_arrival_time(ctx_for(80, 10, 100, 10), Role.AV, yields=False)
-    assert arr.seconds == pytest.approx(8.0)
-    assert not arr.infeasible
+    assert target_arrival_time(ctx_for(80, 10, 100, 10), Role.AV, yields=False) == pytest.approx(8.0)
 
 
 def test_arrival_time_yield_branch():
-    arr = target_arrival_time(ctx_for(80, 10, 100, 10), Role.AV, yields=True)
-    assert arr.seconds == pytest.approx(12.0)
-    assert not arr.infeasible
+    assert target_arrival_time(ctx_for(80, 10, 100, 10), Role.AV, yields=True) == pytest.approx(12.0)
 
 
 def test_arrival_time_clamped_when_opponent_close():
-    arr = target_arrival_time(ctx_for(80, 10, 10, 10), Role.AV, yields=False)
-    assert arr.seconds == ARRIVAL_TIME_FLOOR
-    assert arr.infeasible
+    assert target_arrival_time(ctx_for(80, 10, 10, 10), Role.AV, yields=False) == ARRIVAL_TIME_FLOOR
 
 
 def test_arrival_time_uses_opponent_fields():
     ctx = ctx_for(80, 10, 100, 10)
-    arr = target_arrival_time(ctx, Role.MV, yields=False)
-    assert arr.seconds == pytest.approx(80 / 10 - 2)
+    assert target_arrival_time(ctx, Role.MV, yields=False) == pytest.approx(80 / 10 - 2)
 
 
 def test_required_avg_accel_zero_case():
@@ -168,9 +161,9 @@ def test_fitness_is_negated_cost_exactly(worked):
     assert m.v22 == -cell_costs(worked, MA).j_mv
 
 
-def test_infeasible_flag_propagates():
-    cell = cell_costs(ctx_for(80, 10, 10, 10), MY)
-    assert cell.infeasible
+def test_arrival_floor_reaches_cell_costs():
+    # the opponent is 1 s from the merge point, so the AV's go branch is floored
+    assert cell_costs(ctx_for(80, 10, 10, 10), MY).t_av == ARRIVAL_TIME_FLOOR
 
 
 dists = st.floats(min_value=10.0, max_value=300.0)
@@ -184,9 +177,9 @@ headways = st.floats(min_value=0.5, max_value=3.0)
 def test_yield_ordering_gap_is_twice_headway(d_av, v_av, d_mv, v_mv, T, w_av, w_mv):
     ctx = ctx_for(d_av, v_av, d_mv, v_mv, T, w_av, w_mv)
     go = target_arrival_time(ctx, Role.AV, yields=False)
-    assume(not go.infeasible)
+    assume(go > ARRIVAL_TIME_FLOOR)  # not floored
     stay = target_arrival_time(ctx, Role.AV, yields=True)
-    assert stay.seconds - go.seconds == pytest.approx(2 * T, rel=1e-12)
+    assert stay - go == pytest.approx(2 * T, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -133,19 +133,19 @@ def veh(vid, s, v=10.0, lane=Lane.MAIN):
 
 def test_lane_change_feasible_gap():
     av = veh("AV", 210.0, lane=Lane.RAMP)
-    moved, ok = execute_lane_change(av, veh("F", 220.0), veh("R", 200.0))
+    moved, ok = execute_lane_change(av, veh("F", 220.0), veh("R", 200.0), min_gap=2.0)
     assert ok and moved.lane is Lane.MAIN
 
 
 def test_lane_change_rear_gap_too_small():
     av = veh("AV", 210.0, lane=Lane.RAMP)
-    moved, ok = execute_lane_change(av, veh("F", 230.0), veh("R", 204.0))
+    moved, ok = execute_lane_change(av, veh("F", 230.0), veh("R", 204.0), min_gap=2.0)
     assert not ok and moved.lane is Lane.RAMP
 
 
 def test_lane_change_without_front_vehicle():
     av = veh("AV", 210.0, lane=Lane.RAMP)
-    moved, ok = execute_lane_change(av, None, veh("R", 200.0))
+    moved, ok = execute_lane_change(av, None, veh("R", 200.0), min_gap=2.0)
     assert ok and moved.lane is Lane.MAIN
 
 
@@ -164,7 +164,7 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         small_config(dt=0.3)  # does not divide the decision period
     with pytest.raises(ValueError):
-        small_config(duration=3.0)  # horizon exceeds duration
+        small_config(duration=0.1)  # one step leaves no acceleration to difference
     with pytest.raises(ValueError):
         SimConfig(vehicles=())
 
@@ -273,8 +273,6 @@ def test_bench_rejects_bad_inputs():
     cfg = bench_config()
     with pytest.raises(ValueError):
         run_estimation_bench(cfg, 0.0)
-    with pytest.raises(ValueError):
-        run_estimation_bench(cfg, 0.5, tau_far=3.0, tau_near=5.0)
 
 
 def reference_bench(cfg, true_omega, seed):

@@ -14,6 +14,7 @@ from evomerge import (
 )
 from evomerge.traffic import (
     FREE_ROAD_GAP,
+    VEHICLE_LENGTH,
     bumper_gap,
     desired_speed,
     headway_from_style,
@@ -23,8 +24,8 @@ from evomerge.traffic import (
 )
 
 
-def veh(vid, s, v, lane=Lane.MAIN, length=5.0, a=0.0):
-    return VehicleState(vid=vid, lane=lane, s=s, v=v, a=a, length=length)
+def veh(vid, s, v, lane=Lane.MAIN, a=0.0):
+    return VehicleState(vid=vid, lane=lane, s=s, v=v, a=a)
 
 
 def test_step_constant_velocity():
@@ -119,10 +120,7 @@ def test_idm_monotone_in_gap(v, g1, g2, dv):
 
 
 def collisions(*states):
-    return check_collision(
-        [st.vid for st in states], [st.lane for st in states],
-        [st.s for st in states], [st.length for st in states],
-    )
+    return check_collision([st.vid for st in states], [st.lane for st in states], [st.s for st in states])
 
 
 def test_collision_same_lane_overlap():
@@ -140,13 +138,13 @@ def test_collision_clear_gap():
     assert hits == []
 
 
-def all_pairs_overlaps(vids, lanes, positions, lengths):
-    """Every same-lane overlapping pair, vehicles ranked by (lane, position, id)."""
+def all_pairs_overlaps(vids, lanes, positions):
+    """Every same-lane pair closer than one vehicle length, ranked by (lane, position, id)."""
     order = sorted(range(len(vids)), key=lambda i: (lanes[i].value, positions[i], vids[i]))
     hits = []
     for x, i in enumerate(order):
         for j in order[x + 1:]:
-            if lanes[i] is lanes[j] and abs(positions[i] - positions[j]) < 0.5 * (lengths[i] + lengths[j]):
+            if lanes[i] is lanes[j] and abs(positions[i] - positions[j]) < VEHICLE_LENGTH:
                 hits.append(tuple(sorted((vids[i], vids[j]))))
     return hits
 
@@ -157,21 +155,15 @@ POSITIONS = st.sampled_from([0.0, 2.5, 4.0, 5.0, 9.5, 12.0]) | st.floats(-20.0, 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(
-        st.tuples(st.sampled_from(list(Lane)), POSITIONS, st.sampled_from([1.0, 4.5, 5.0, 12.0])),
-        max_size=9,
-    ),
+    st.lists(st.tuples(st.sampled_from(list(Lane)), POSITIONS), max_size=9),
     st.randoms(use_true_random=False),
 )
 def test_collision_check_matches_all_pairs(vehicles, rnd):
     vids = [f"v{k}" for k in range(len(vehicles))]
     rnd.shuffle(vids)  # id order independent of list order
-    lanes = [lane for lane, _, _ in vehicles]
-    positions = [s for _, s, _ in vehicles]
-    lengths = [length for _, _, length in vehicles]
-    assert check_collision(vids, lanes, positions, lengths) == all_pairs_overlaps(
-        vids, lanes, positions, lengths
-    )
+    lanes = [lane for lane, _ in vehicles]
+    positions = [s for _, s in vehicles]
+    assert check_collision(vids, lanes, positions) == all_pairs_overlaps(vids, lanes, positions)
 
 
 def nearest_ahead(positions, s):
@@ -201,9 +193,9 @@ def test_style_headway_link_round_trip():
 
 
 def test_desired_speed_link():
-    assert desired_speed(0.3, 10.0) == 10.0
-    assert desired_speed(0.5, 10.0) == 10.0
-    assert desired_speed(0.75, 10.0) == pytest.approx(13.0)
+    assert desired_speed(0.3, 10.0, 6.0) == 10.0
+    assert desired_speed(0.5, 10.0, 6.0) == 10.0
+    assert desired_speed(0.75, 10.0, 6.0) == pytest.approx(13.0)
 
 
 def test_style_accel_limit_increases_with_aggression():
