@@ -31,7 +31,6 @@ from .payoff import (
     AgentView,
     AvMove,
     CellCosts,
-    DrivingStyle,
     GameContext,
     MvMove,
     Role,

@@ -106,9 +106,8 @@ def eigenvalues_at(m: PayoffMatrix, point: StrategyState) -> tuple[float, float]
         lambda2 = (1 - 2q) (E_MV1 - E_MV2)|p
 
     which are exactly each player's fitness gain from switching action while
-    the other keeps its own.  Interior points are rejected: the Jacobian is
-    not diagonal there and the rest point is classified by construction in
-    :func:`solve_ess`.
+    the other keeps its own.  Mixed points are rejected: the Jacobian is not
+    diagonal there.
     """
     if not point.is_pure():
         raise ValueError(f"eigenvalues_at requires a pure point, got ({point.p}, {point.q})")
@@ -140,59 +139,31 @@ class EquilibriumReport:
     are stable, the most strongly attracting one
     (smallest slowest eigenvalue; slowest eigenvalues within
     ``EIGENVALUE_ZERO_TOL`` of each other count as tied and go to the smaller
-    (p, q)).  ``multiple_stable`` flags the latter case so the decision layer
-    can fall back conservatively; ``ess`` is None when no pure point is
-    stable.  ``interior`` is the interior rest point, when it exists; it is
-    never stable.
+    (p, q)).  ``has_unique_ess`` tells the two cases apart, so the decision
+    layer can fall back conservatively; ``ess`` is None when no pure point
+    is stable.
     """
 
     stable_points: tuple[StrategyState, ...]
     ess: Optional[StrategyState]
-    interior: Optional[StrategyState]
-
-    @property
-    def multiple_stable(self) -> bool:
-        return len(self.stable_points) > 1
 
     @property
     def has_unique_ess(self) -> bool:
         return len(self.stable_points) == 1
 
 
-def _interior_point(m: PayoffMatrix) -> Optional[StrategyState]:
-    """Interior rest point from the two indifference conditions, if any.
-
-    Solves E_AV1 = E_AV2 for q and E_MV1 = E_MV2 for p; a solution counts
-    only when both coordinates fall strictly inside (0, 1).
-    """
-    den_q = m.u11 - m.u21 - m.u12 + m.u22
-    den_p = m.v11 - m.v21 - m.v12 + m.v22
-    if abs(den_q) < 1e-12 or abs(den_p) < 1e-12:
-        return None
-    q = (m.u22 - m.u12) / den_q
-    p = (m.v22 - m.v21) / den_p
-    if 0.0 < p < 1.0 and 0.0 < q < 1.0:
-        return StrategyState(p, q)
-    return None
-
-
 def solve_ess(m: PayoffMatrix) -> EquilibriumReport:
-    """Classify the rest points' stability and extract the ESS.
+    """Classify the pure rest points' stability and extract the ESS.
 
     A pure point is stable when both its eigenvalues are strictly negative.
-    The interior rest point, when it exists, is reported but never stable:
-    in two-population bimatrix replicator dynamics the Jacobian at an
-    interior rest point has zero trace, so it cannot be asymptotically
-    stable.  Degenerate games (zero eigenvalues everywhere) yield ess=None
-    rather than a false positive.
+    Only pure points can be: in two-population bimatrix replicator dynamics
+    the Jacobian at a mixed rest point has zero trace, so it cannot be
+    asymptotically stable.  Degenerate games (zero eigenvalues everywhere)
+    yield ess=None rather than a false positive.
     """
     gains = deviation_gains(m)
     stable = [point for point, point_gains in zip(PURE_POINTS, gains) if _is_stable(max(point_gains))]
-    return EquilibriumReport(
-        stable_points=tuple(stable),
-        ess=_operative_ess(gains),
-        interior=_interior_point(m),
-    )
+    return EquilibriumReport(stable_points=tuple(stable), ess=_operative_ess(gains))
 
 
 def _is_stable(slowest: float) -> bool:

@@ -89,7 +89,7 @@ def ess_stability_interval(ctx: GameContext, ess: StrategyState) -> StabilityInt
     degenerate interval is returned flagged.
     """
     table = CellTable(ctx)
-    omega_hat = ctx.mv_style.omega
+    omega_hat = ctx.mv_omega
 
     def holds(omega: float) -> bool:
         return solve_ess(table.matrix_at(omega)).ess == ess

@@ -134,7 +134,7 @@ def _one_run(args: tuple[SimConfig, int, Policy]) -> tuple[int, Optional[Metrics
     try:
         trace = run_scenario(replace(cfg, seed=seed), policy)
         return seed, compute_metrics(trace), None
-    except Exception as exc:  # recorded as a failed run, never a crash
+    except ValueError as exc:  # a run's own checks failed: recorded, the batch goes on
         return seed, None, f"{type(exc).__name__}: {exc}"
 
 

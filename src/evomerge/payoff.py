@@ -52,20 +52,6 @@ class StrategyPair:
 
 
 @dataclass(frozen=True, slots=True)
-class DrivingStyle:
-    """Style weight (larger = more aggressive) and preferred time headway."""
-
-    omega: float
-    headway: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.omega < 1.0:
-            raise ValueError(f"omega must lie in (0, 1), got {self.omega}")
-        if self.headway <= 0.0:
-            raise ValueError(f"headway must be positive, got {self.headway}")
-
-
-@dataclass(frozen=True, slots=True)
 class AgentView:
     """Kinematic view of one player: arc distance to the merge point and speed."""
 
@@ -81,15 +67,20 @@ class AgentView:
 
 @dataclass(frozen=True, slots=True)
 class GameContext:
-    """Everything one matrix needs: paired states, styles, and the headway margin."""
+    """Everything one matrix needs: paired states, style weights, and the headway margin.
+
+    A style weight lies in (0, 1); larger is more aggressive.
+    """
 
     av: AgentView
     mv: AgentView
-    av_style: DrivingStyle
-    mv_style: DrivingStyle
+    av_omega: float
+    mv_omega: float
     headway_t: float
 
     def __post_init__(self) -> None:
+        if not (0.0 < self.av_omega < 1.0 and 0.0 < self.mv_omega < 1.0):
+            raise ValueError(f"style weights must lie in (0, 1), got {self.av_omega}, {self.mv_omega}")
         if self.headway_t <= 0.0:
             raise ValueError(f"headway_t must be positive, got {self.headway_t}")
 
@@ -132,7 +123,6 @@ class CellCosts:
     t_mv: float
     a_av: float
     a_mv: float
-    safety: float  # conflict term both players pay
 
 
 def _cost(omega: float, t: float, a: float, safety: float) -> float:
@@ -157,13 +147,12 @@ def cell_costs(ctx: GameContext, pair: StrategyPair) -> CellCosts:
     t_mv, a_mv = _schedule(ctx, Role.MV, pair.mv_move is MvMove.YIELD)
     safety = _safety(pair, a_av, a_mv)
     return CellCosts(
-        j_av=_cost(ctx.av_style.omega, t_av, a_av, safety),
-        j_mv=_cost(ctx.mv_style.omega, t_mv, a_mv, safety),
+        j_av=_cost(ctx.av_omega, t_av, a_av, safety),
+        j_mv=_cost(ctx.mv_omega, t_mv, a_mv, safety),
         t_av=t_av,
         t_mv=t_mv,
         a_av=a_av,
         a_mv=a_mv,
-        safety=safety,
     )
 
 
@@ -177,7 +166,7 @@ _PAIRS = (
 
 def build_matrix(ctx: GameContext) -> PayoffMatrix:
     """Fill all four cells and store fitness = -cost, indexed as in the game table."""
-    return CellTable(ctx).matrix_at(ctx.mv_style.omega)
+    return CellTable(ctx).matrix_at(ctx.mv_omega)
 
 
 class CellTable:
@@ -196,7 +185,7 @@ class CellTable:
         # Each player has two schedules; the four cells only pair them up.
         av = {move: _schedule(ctx, Role.AV, move is AvMove.YIELD) for move in AvMove}
         mv = {move: _schedule(ctx, Role.MV, move is MvMove.YIELD) for move in MvMove}
-        omega_av = ctx.av_style.omega
+        omega_av = ctx.av_omega
         av_fitness = []
         mv_terms = []
         for pair in _PAIRS:

@@ -28,7 +28,6 @@ from .estimation import StyleBelief, observed_reaction, update_belief
 from .payoff import (
     AgentView,
     CellTable,
-    DrivingStyle,
     GameContext,
     Role,
     build_matrix,
@@ -45,7 +44,6 @@ from .traffic import (
     VehicleState,
     advance,
     body_gap,
-    bumper_gap,
     check_collision,
     headway_from_style,
     idm_accel,
@@ -67,6 +65,11 @@ HEADWAY_RANGE = (0.5, 3.5)
 
 #: Targets below this demand immediate braking and bypass the comfort slew.
 EMERGENCY_TARGET = -4.0
+
+#: Most kinematic steps one run may take: 10 000 s at the shipped dt of
+#: 0.1 s, far beyond any merge.  A run stores every step, so an unbounded
+#: duration would never end and would exhaust memory on the way.
+MAX_STEPS = 100_000
 
 
 class ManeuverKind(Enum):
@@ -124,9 +127,9 @@ def execute_lane_change(
     that side unconstrained.  On an infeasible slot the state is returned
     unchanged with ok=False, signaling a re-queue.
     """
-    if front is not None and bumper_gap(av, front) < min_gap:
+    if front is not None and body_gap(av.s, front.s) < min_gap:
         return av, False
-    if rear is not None and bumper_gap(rear, av) < min_gap:
+    if rear is not None and body_gap(rear.s, av.s) < min_gap:
         return av, False
     return replace(av, lane=Lane.MAIN), True
 
@@ -206,8 +209,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not self.vehicles:
             raise ValueError("scenario needs at least one main-road vehicle")
-        if self.dt <= 0.0 or self.duration <= 0.0 or self.decision_period <= 0.0:
-            raise ValueError("duration, dt and decision_period must be positive")
+        if not all(0.0 < x < math.inf for x in (self.duration, self.dt, self.decision_period)):
+            raise ValueError("duration, dt and decision_period must be positive and finite")
+        if self.duration / self.dt > MAX_STEPS:
+            raise ValueError(f"duration must span at most {MAX_STEPS} steps of dt")
         ratio = self.decision_period / self.dt
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("dt must divide decision_period")
@@ -276,7 +281,6 @@ class SimTrace:
     av_rear: Optional[str] = None
     lane_change_time: Optional[float] = None
     true_styles: dict[str, float] = field(default_factory=dict)
-    headways: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -301,18 +305,19 @@ class _Sim:
         self.policy = policy
         rng = np.random.default_rng(cfg.seed)
 
-        self.av_style = DrivingStyle(omega=cfg.av.omega, headway=headway_from_style(cfg.av.omega))
-        self.av_idm = idm_params_for_style(cfg.av.omega, self.av_style.headway, cfg.flow_speed, cfg.speed_slack)
+        self.av_idm = idm_params_for_style(
+            cfg.av.omega, headway_from_style(cfg.av.omega), cfg.flow_speed, cfg.speed_slack
+        )
 
         self.mv_ids: list[str] = []
         self.idm = [self.av_idm]  # by vehicle index
-        self.headway: dict[str, float] = {}
+        self.true_styles: dict[str, float] = {}
         for spec in cfg.vehicles:
             headway = spec.headway.sample(rng)
             omega = style_from_headway(headway)
             self.mv_ids.append(spec.vid)
             self.idm.append(idm_params_for_style(omega, headway, cfg.flow_speed, cfg.speed_slack))
-            self.headway[spec.vid] = headway
+            self.true_styles[spec.vid] = omega
 
         self.ids = [AV_ID, *self.mv_ids]
         self.index = {vid: i for i, vid in enumerate(self.ids)}
@@ -360,12 +365,11 @@ class _Sim:
         return AgentView(dist_to_merge=max(MERGE_POINT_S - self.s[i], 0.0), speed=max(self.v[i], 0.1))
 
     def context_for(self, opponent: str, omega_hat: float) -> GameContext:
-        omega_hat = _game_style(omega_hat)
         return GameContext(
             av=self.game_view(0),
             mv=self.game_view(self.index[opponent]),
-            av_style=self.av_style,
-            mv_style=DrivingStyle(omega=omega_hat, headway=self.headway[opponent]),
+            av_omega=self.cfg.av.omega,
+            mv_omega=_game_style(omega_hat),
             headway_t=self.cfg.headway_t,
         )
 
@@ -545,8 +549,7 @@ def run_scenario(cfg: SimConfig, policy: Policy = Policy.EGT) -> SimTrace:
     """Run one seeded scenario to completion and return its trace."""
     sim = _Sim(cfg, policy)
     trace = SimTrace(seed=cfg.seed, policy=policy, dt=cfg.dt, duration=cfg.duration,
-                     true_styles={vid: style_from_headway(h) for vid, h in sim.headway.items()},
-                     headways=dict(sim.headway))
+                     true_styles=sim.true_styles)
     lanes, positions, speeds, accels = [], [], [], []
 
     for k in range(cfg.n_steps):
@@ -615,8 +618,15 @@ class EstimationResult:
     true_omega: float
     rounds: list[EstimationRound]
     belief: StyleBelief
-    n_updates: int
-    contained: bool  # true style never left the belief interval
+
+    @property
+    def n_updates(self) -> int:
+        return sum(r.updated for r in self.rounds)
+
+    @property
+    def contained(self) -> bool:
+        """Whether the true style never left the belief interval (1e-9 slack)."""
+        return all(r.k_l - 1e-9 <= self.true_omega <= r.k_u + 1e-9 for r in self.rounds)
 
     @property
     def error(self) -> float:
@@ -670,8 +680,6 @@ def run_estimation_bench(
 
     belief = StyleBelief()
     rounds: list[EstimationRound] = []
-    contained = True
-    n_updates = 0
 
     leg = int(math.floor((BENCH_TAU_FAR - BENCH_TAU_NEAR) / BENCH_TAU_STEP)) + 1
     schedule = [BENCH_TAU_FAR - k * BENCH_TAU_STEP for k in range(leg)]
@@ -687,7 +695,7 @@ def run_estimation_bench(
         # belief midpoint and the driver's own at its true style.
         ctx = sim.context_for(opp, belief.omega_hat)
         table = CellTable(ctx)
-        ess = _operative_ess(deviation_gains(table.matrix_at(ctx.mv_style.omega)))
+        ess = _operative_ess(deviation_gains(table.matrix_at(ctx.mv_omega)))
         if ess is None:
             rounds.append(EstimationRound(
                 t=t, k_l=belief.k_l, k_u=belief.k_u, omega_hat=belief.omega_hat,
@@ -710,17 +718,10 @@ def run_estimation_bench(
         new_belief = update_belief(belief, ess, reaction, ctx)
         updated = new_belief != belief
         belief = new_belief
-        if updated:
-            n_updates += 1
-        if not (belief.k_l - 1e-9 <= true_omega <= belief.k_u + 1e-9):
-            contained = False
 
         rounds.append(EstimationRound(
             t=t, k_l=belief.k_l, k_u=belief.k_u, omega_hat=belief.omega_hat,
             predicted_q=ess.q, accelerated=reaction.accelerated, updated=updated,
         ))
 
-    return EstimationResult(
-        true_omega=true_omega, rounds=rounds, belief=belief,
-        n_updates=n_updates, contained=contained,
-    )
+    return EstimationResult(true_omega=true_omega, rounds=rounds, belief=belief)

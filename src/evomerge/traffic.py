@@ -38,7 +38,6 @@ class VehicleState:
     lane: Lane
     s: float
     v: float
-    a: float = 0.0
 
     def __post_init__(self) -> None:
         if self.v < 0.0:
@@ -52,12 +51,12 @@ class VehicleState:
 def step_kinematics(state: VehicleState, u: float, t_s: float) -> VehicleState:
     """Discrete double-integrator update with a nonnegative-speed clamp.
 
-    s' = s + T_s v,  v' = max(0, v + T_s u),  a' = u.
+    s' = s + T_s v,  v' = max(0, v + T_s u).
     """
     if t_s <= 0.0:
         raise ValueError(f"step size must be positive, got {t_s}")
     s, v = advance(state.s, state.v, u, t_s)
-    return VehicleState(state.vid, state.lane, s, v, u)
+    return VehicleState(state.vid, state.lane, s, v)
 
 
 def advance(s: float, v: float, u: float, t_s: float) -> tuple[float, float]:
@@ -111,13 +110,8 @@ def projected_arrival(state: VehicleState) -> float:
     return state.dist_to_merge / max(state.v, 1e-9)
 
 
-def bumper_gap(rear: VehicleState, front: VehicleState) -> float:
-    """Bumper-to-bumper distance; negative when the bodies overlap."""
-    return body_gap(rear.s, front.s)
-
-
 def body_gap(rear_s: float, front_s: float) -> float:
-    """:func:`bumper_gap` on plain floats."""
+    """Bumper-to-bumper distance between two positions; negative when the bodies overlap."""
     return (front_s - rear_s) - VEHICLE_LENGTH
 
 
@@ -164,7 +158,7 @@ def check_collision(
 
 
 # Ground-truth link between a preferred time headway and the style weight:
-# shorter headways read as more aggressive.  The inverse maps a style back to
+# a shorter headway reads as more aggressive.  The inverse maps a style back to
 # a headway for vehicles whose headway is not configured directly.
 STYLE_HEADWAY_REF = 2.5
 STYLE_HEADWAY_SPAN = 2.0

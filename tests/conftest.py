@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from evomerge import AgentView, DrivingStyle, GameContext
+from evomerge import AgentView, GameContext
 
 T_FLOOR = 0.5
 
@@ -79,8 +79,8 @@ def worked_ctx() -> GameContext:
     return GameContext(
         av=AgentView(WORKED["d_av"], WORKED["v_av"]),
         mv=AgentView(WORKED["d_mv"], WORKED["v_mv"]),
-        av_style=DrivingStyle(WORKED["w_av"], 1.5),
-        mv_style=DrivingStyle(WORKED["w_mv"], 2.0),
+        av_omega=WORKED["w_av"],
+        mv_omega=WORKED["w_mv"],
         headway_t=WORKED["headway"],
     )
 

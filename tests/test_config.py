@@ -4,6 +4,7 @@ import pytest
 
 from evomerge.cli import main
 from evomerge.config import ConfigError, load_scenario, parse_scenario
+from evomerge.runner import MAX_STEPS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -102,6 +103,24 @@ def test_ramp_vehicle_rejected():
 def test_invalid_sim_values_surface_as_config_errors():
     with pytest.raises(ConfigError):
         parse_scenario(MINIMAL.replace("duration = 10.0", "duration = -1.0"))
+
+
+def test_run_length_is_capped_at_config_time():
+    with pytest.raises(ConfigError, match=f"at most {MAX_STEPS} steps"):
+        parse_scenario(MINIMAL.replace("duration = 10.0", "duration = 1e9"))
+
+
+@pytest.mark.parametrize("key", ["duration", "dt", "decision_period"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_times_are_config_errors(key, value):
+    sim = "\n".join(f"{k} = {v}" for k, v in {"duration": "10.0", key: value}.items())
+    with pytest.raises(ConfigError, match="positive and finite"):
+        parse_scenario(MINIMAL.replace("duration = 10.0", sim))
+
+
+def test_run_length_cap_admits_max_steps():
+    cfg = parse_scenario(MINIMAL.replace("duration = 10.0", f"duration = {MAX_STEPS * 0.1}"))
+    assert cfg.n_steps == MAX_STEPS
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -91,7 +91,7 @@ def test_eigenvalue_single_term():
     assert lam1 == pytest.approx(-c)
 
 
-def test_eigenvalues_rejects_interior():
+def test_eigenvalues_rejects_mixed_point():
     with pytest.raises(ValueError):
         eigenvalues_at(ZERO, StrategyState(0.5, 0.5))
 
@@ -100,7 +100,6 @@ def test_solve_ess_zero_matrix_degenerate():
     report = solve_ess(ZERO)
     assert report.ess is None
     assert report.stable_points == ()
-    assert not report.multiple_stable
 
 
 def test_solve_ess_worked_matrix(worked_ctx):
@@ -108,9 +107,8 @@ def test_solve_ess_worked_matrix(worked_ctx):
     assert report.ess == StrategyState(0.0, 1.0)
     # the mirrored convention (AV yields, MV pushes) is also attracting here,
     # so the report must flag the multiplicity for the decision layer
-    assert report.multiple_stable
+    assert not report.has_unique_ess
     assert set(report.stable_points) == {StrategyState(0.0, 1.0), StrategyState(1.0, 0.0)}
-    assert report.interior is not None
 
 
 def test_deviation_gains_are_the_pure_point_eigenvalues(worked_ctx):
@@ -189,14 +187,6 @@ def test_positive_scaling_equivariance(m, alpha):
         big = eigenvalues_at(scaled, point)
         assert big[0] == pytest.approx(alpha * base[0], rel=1e-9, abs=1e-12)
         assert big[1] == pytest.approx(alpha * base[1], rel=1e-9, abs=1e-12)
-
-
-@settings(max_examples=100, deadline=None)
-@given(matrices)
-def test_interior_point_never_stable(m):
-    report = solve_ess(m)
-    if report.interior is not None:
-        assert report.interior not in report.stable_points
 
 
 def test_integrate_constant_at_pure_point():

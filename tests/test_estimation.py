@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from evomerge import (
     AgentView,
-    DrivingStyle,
     GameContext,
     Reaction,
     StabilityInterval,
@@ -25,7 +24,7 @@ from evomerge.payoff import CellTable
 def ctx_for(d_av, d_mv, omega_hat=0.5, headway=2.0, v=10.0):
     return GameContext(
         av=AgentView(d_av, v), mv=AgentView(d_mv, v),
-        av_style=DrivingStyle(0.5, 1.5), mv_style=DrivingStyle(omega_hat, 1.5),
+        av_omega=0.5, mv_omega=omega_hat,
         headway_t=headway,
     )
 
@@ -61,7 +60,7 @@ def test_stability_interval_worked_context(worked_ctx):
 
     # dense-scan oracle at 1e-4 resolution, independent of the walk+bisect path
     def holds(omega):
-        ctx = replace(worked_ctx, mv_style=replace(worked_ctx.mv_style, omega=omega))
+        ctx = replace(worked_ctx, mv_omega=omega)
         return solve_ess(build_matrix(ctx)).ess == report.ess
 
     step = 1e-4
@@ -94,13 +93,13 @@ def test_stability_interval_stale_context(worked_ctx):
     wrong = StrategyState(1.0, 1.0)
     interval = ess_stability_interval(worked_ctx, wrong)
     assert interval.stale
-    assert interval.lo == interval.hi == worked_ctx.mv_style.omega
+    assert interval.lo == interval.hi == worked_ctx.mv_omega
 
 
 contexts = st.builds(
     lambda d_av, v_av, d_mv, v_mv, headway, omega_hat: GameContext(
         av=AgentView(d_av, v_av), mv=AgentView(d_mv, v_mv),
-        av_style=DrivingStyle(0.5, 1.5), mv_style=DrivingStyle(omega_hat, 1.5),
+        av_omega=0.5, mv_omega=omega_hat,
         headway_t=headway,
     ),
     st.floats(min_value=0.0, max_value=200.0),
@@ -120,7 +119,7 @@ def test_stability_interval_is_exact(ctx):
     ess = report.ess
     interval = ess_stability_interval(ctx, ess)
     assert not interval.stale
-    assert 0.0 <= interval.lo <= ctx.mv_style.omega <= interval.hi <= 1.0
+    assert 0.0 <= interval.lo <= ctx.mv_omega <= interval.hi <= 1.0
 
     def holds(omega):
         return solve_ess(table.matrix_at(omega)).ess == ess
@@ -154,12 +153,12 @@ def test_tied_stable_points_keep_one_ess_across_styles():
     # noise separates them, so the tie goes to the smaller (p, q) throughout
     ctx = GameContext(
         av=AgentView(2.2e-16, 1.0), mv=AgentView(0.0, 0.5),
-        av_style=DrivingStyle(0.5, 1.5), mv_style=DrivingStyle(0.7, 1.5),
+        av_omega=0.5, mv_omega=0.7,
         headway_t=0.5,
     )
     table = CellTable(ctx)
     at_07, at_10 = (solve_ess(table.matrix_at(omega)) for omega in (0.7, 1.0))
-    assert at_07.multiple_stable and at_10.multiple_stable
+    assert len(at_07.stable_points) == len(at_10.stable_points) == 2
     assert at_07.ess == at_10.ess == StrategyState(0.0, 1.0)
     assert ess_stability_interval(ctx, at_07.ess) == StabilityInterval(0.0, 1.0)
 
@@ -170,7 +169,7 @@ def test_stability_interval_stale_when_ess_differs(ctx, wrong):
     if wrong == solve_ess(build_matrix(ctx)).ess:
         return
     interval = ess_stability_interval(ctx, wrong)
-    assert interval == StabilityInterval(ctx.mv_style.omega, ctx.mv_style.omega, stale=True)
+    assert interval == StabilityInterval(ctx.mv_omega, ctx.mv_omega, stale=True)
 
 
 def test_update_belief_yield_contradicted(worked_ctx):

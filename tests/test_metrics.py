@@ -128,7 +128,7 @@ def test_batch_records_failed_runs_without_crashing(monkeypatch):
 
     def flaky(cfg, policy):
         if cfg.seed == 2:
-            raise RuntimeError("synthetic failure")
+            raise ValueError("synthetic failure")
         return real(cfg, policy)
 
     monkeypatch.setattr(metrics_mod, "run_scenario", flaky)
@@ -136,6 +136,21 @@ def test_batch_records_failed_runs_without_crashing(monkeypatch):
     assert summary.failed_seeds == (2,)
     assert len(summary.reports) + len(summary.failed_seeds) == summary.n_runs
     assert 0.0 <= summary.collision_rate <= 100.0
+
+
+def test_batch_lets_programming_errors_propagate(monkeypatch):
+    import evomerge.metrics as metrics_mod
+
+    real = metrics_mod.run_scenario
+
+    def buggy(cfg, policy):
+        if cfg.seed == 2:
+            raise TypeError("synthetic bug")
+        return real(cfg, policy)
+
+    monkeypatch.setattr(metrics_mod, "run_scenario", buggy)
+    with pytest.raises(TypeError, match="synthetic bug"):
+        run_batch(scenario_config(), n=4, base_seed=0, jobs=1)
 
 
 def test_trace_csv_shape():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from evomerge import (
     AgentView,
     AvMove,
-    DrivingStyle,
     GameContext,
     MvMove,
     Role,
@@ -29,18 +28,20 @@ YY = StrategyPair(AvMove.YIELD, MvMove.YIELD)
 def ctx_for(d_av, v_av, d_mv, v_mv, headway=2.0, w_av=0.5, w_mv=0.5):
     return GameContext(
         av=AgentView(d_av, v_av), mv=AgentView(d_mv, v_mv),
-        av_style=DrivingStyle(w_av, 1.5), mv_style=DrivingStyle(w_mv, 1.5),
+        av_omega=w_av, mv_omega=w_mv,
         headway_t=headway,
     )
 
 
 def test_style_validation():
+    for w_av, w_mv in ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)):
+        with pytest.raises(ValueError):
+            ctx_for(80, 10, 100, 10, w_av=w_av, w_mv=w_mv)
+
+
+def test_headway_margin_validation():
     with pytest.raises(ValueError):
-        DrivingStyle(0.0, 1.0)
-    with pytest.raises(ValueError):
-        DrivingStyle(1.0, 1.0)
-    with pytest.raises(ValueError):
-        DrivingStyle(0.5, 0.0)
+        ctx_for(80, 10, 100, 10, headway=0.0)
 
 
 def test_agent_view_validation():
@@ -169,11 +170,11 @@ def test_arrival_floor_reaches_cell_costs():
 dists = st.floats(min_value=10.0, max_value=300.0)
 speeds = st.floats(min_value=2.0, max_value=25.0)
 weights = st.floats(min_value=0.05, max_value=0.95)
-headways = st.floats(min_value=0.5, max_value=3.0)
+margins = st.floats(min_value=0.5, max_value=3.0)
 
 
 @settings(max_examples=60, deadline=None)
-@given(dists, speeds, dists, speeds, headways, weights, weights)
+@given(dists, speeds, dists, speeds, margins, weights, weights)
 def test_yield_ordering_gap_is_twice_headway(d_av, v_av, d_mv, v_mv, T, w_av, w_mv):
     ctx = ctx_for(d_av, v_av, d_mv, v_mv, T, w_av, w_mv)
     go = target_arrival_time(ctx, Role.AV, yields=False)
@@ -183,7 +184,7 @@ def test_yield_ordering_gap_is_twice_headway(d_av, v_av, d_mv, v_mv, T, w_av, w_
 
 
 @settings(max_examples=60, deadline=None)
-@given(dists, speeds, dists, speeds, headways, weights, weights, weights)
+@given(dists, speeds, dists, speeds, margins, weights, weights, weights)
 def test_style_weight_monotonicity(d_av, v_av, d_mv, v_mv, T, w_av, w_lo, w_hi):
     assume(abs(w_hi - w_lo) > 1e-3)
     w_lo, w_hi = min(w_lo, w_hi), max(w_lo, w_hi)
@@ -198,13 +199,13 @@ def test_style_weight_monotonicity(d_av, v_av, d_mv, v_mv, T, w_av, w_lo, w_hi):
 
 
 @settings(max_examples=60, deadline=None)
-@given(dists, speeds, dists, speeds, headways, weights, weights)
+@given(dists, speeds, dists, speeds, margins, weights, weights)
 def test_conflict_symmetry(d_av, v_av, d_mv, v_mv, T, w_av, w_mv):
     ctx = ctx_for(d_av, v_av, d_mv, v_mv, T, w_av, w_mv)
     for pair in (YY, MA):
         cell = cell_costs(ctx, pair)
-        base_av = ctx.av_style.omega * cell.t_av + (1 - ctx.av_style.omega) * cell.a_av**2
-        base_mv = ctx.mv_style.omega * cell.t_mv + (1 - ctx.mv_style.omega) * cell.a_mv**2
+        base_av = ctx.av_omega * cell.t_av + (1 - ctx.av_omega) * cell.a_av**2
+        base_mv = ctx.mv_omega * cell.t_mv + (1 - ctx.mv_omega) * cell.a_mv**2
         assert cell.j_av - base_av == pytest.approx(cell.j_mv - base_mv, rel=1e-9, abs=1e-12)
 
 
@@ -219,14 +220,14 @@ def test_zero_acceleration_consistency():
 
 
 @settings(max_examples=40, deadline=None)
-@given(dists, speeds, dists, speeds, headways, weights, weights)
+@given(dists, speeds, dists, speeds, margins, weights, weights)
 @example(10.0, 3.0, 10.0, 2.0, 3.0, 0.5, 0.5)
 @example(36.0, 11.0, 242.0, 5.0, 1.5, 0.5, 0.9)  # (1-w)*a*a != (1-w)*(a*a) here
 @example(10.0, 10.0, 10.0, 5.0, 1.5, 0.5, 0.5)  # both go branches at ARRIVAL_TIME_FLOOR
 def test_cell_table_matches_build_matrix(d_av, v_av, d_mv, v_mv, T, w_av, w_mv):
     ctx = ctx_for(d_av, v_av, d_mv, v_mv, T, w_av, w_mv)
     m = build_matrix(ctx)
-    assert CellTable(ctx).matrix_at(ctx.mv_style.omega) == m
+    assert CellTable(ctx).matrix_at(ctx.mv_omega) == m
     cells = [cell_costs(ctx, pair) for pair in (YY, YA, MY, MA)]
     assert (m.u11, m.u12, m.u21, m.u22) == tuple(-c.j_av for c in cells)
     assert (m.v11, m.v12, m.v21, m.v22) == tuple(-c.j_mv for c in cells)

@@ -7,7 +7,6 @@ import pytest
 from evomerge import (
     AgentView,
     AvSpec,
-    DrivingStyle,
     GameContext,
     HeadwaySpec,
     Lane,
@@ -38,6 +37,7 @@ from evomerge.runner import (
     BENCH_TAU_STEP,
     BENCH_YIELD_DECEL,
     HEADWAY_RANGE,
+    EstimationResult,
     EstimationRound,
     _Sim,
 )
@@ -47,7 +47,7 @@ from evomerge.traffic import MERGE_POINT_S
 def ctx_for(d_av, v_av, d_mv, v_mv, headway=2.0):
     return GameContext(
         av=AgentView(d_av, v_av), mv=AgentView(d_mv, v_mv),
-        av_style=DrivingStyle(0.5, 1.5), mv_style=DrivingStyle(0.5, 1.5),
+        av_omega=0.5, mv_omega=0.5,
         headway_t=headway,
     )
 
@@ -90,11 +90,9 @@ def test_decide_yield_without_equilibrium():
     assert decide(report_for(zero)).kind is ManeuverKind.YIELD_SHIFT
 
 
-def test_decide_yield_on_multiple_stable_points(worked_ctx):
-    from evomerge import build_matrix
-
+def test_decide_yield_on_several_stable_points(worked_ctx):
     report = report_for(build_matrix(worked_ctx))
-    assert report.multiple_stable
+    assert len(report.stable_points) > 1
     assert decide(report).kind is ManeuverKind.YIELD_SHIFT
 
 
@@ -267,6 +265,24 @@ def test_bench_converges_for_sample_styles():
         assert result.contained
         assert result.error <= 0.05
         assert result.n_updates <= 10
+
+
+def test_estimation_result_tallies_come_from_rounds():
+    def round_(k_l, k_u, updated):
+        return EstimationRound(t=0.0, k_l=k_l, k_u=k_u, omega_hat=0.5 * (k_l + k_u),
+                               predicted_q=1.0, accelerated=updated, updated=updated)
+
+    rounds = [round_(0.0, 1.0, False), round_(0.5, 1.0, True), round_(0.5, 0.75, True)]
+    result = EstimationResult(true_omega=0.6, rounds=rounds, belief=StyleBelief(0.5, 0.75))
+    assert result.n_updates == 2
+    assert result.contained
+    # one round's interval [0.7, 0.75] excludes the true style by more than the 1e-9 slack
+    rounds.insert(2, round_(0.7, 0.75, True))
+    assert result.n_updates == 3
+    assert not result.contained
+    # within the slack the style still counts as contained
+    rounds[2] = round_(0.6 + 5e-10, 0.75, True)
+    assert result.contained
 
 
 def test_bench_rejects_bad_inputs():

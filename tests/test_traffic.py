@@ -15,7 +15,7 @@ from evomerge import (
 from evomerge.traffic import (
     FREE_ROAD_GAP,
     VEHICLE_LENGTH,
-    bumper_gap,
+    body_gap,
     desired_speed,
     headway_from_style,
     leaders,
@@ -24,8 +24,8 @@ from evomerge.traffic import (
 )
 
 
-def veh(vid, s, v, lane=Lane.MAIN, a=0.0):
-    return VehicleState(vid=vid, lane=lane, s=s, v=v, a=a)
+def veh(vid, s, v, lane=Lane.MAIN):
+    return VehicleState(vid=vid, lane=lane, s=s, v=v)
 
 
 def test_step_constant_velocity():
@@ -38,7 +38,6 @@ def test_step_direct_substitution():
     out = step_kinematics(veh("x", 0.0, 10.0), u=2.0, t_s=0.1)
     assert out.s == pytest.approx(1.0)
     assert out.v == pytest.approx(10.2)
-    assert out.a == 2.0
 
 
 def test_step_speed_clamps_at_zero():
@@ -181,8 +180,8 @@ def test_leaders_are_the_nearest_vehicle_ahead(positions):
     assert leaders(positions) == [nearest_ahead(positions, s) for s in positions]
 
 
-def test_bumper_gap():
-    assert bumper_gap(veh("a", 100.0, 10.0), veh("b", 120.0, 10.0)) == pytest.approx(15.0)
+def test_body_gap():
+    assert body_gap(100.0, 120.0) == pytest.approx(15.0)
 
 
 def test_style_headway_link_round_trip():
