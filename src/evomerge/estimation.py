@@ -41,17 +41,19 @@ class StyleBelief:
 
     k_l: float = 0.0
     k_u: float = 1.0
-    inconsistent: bool = False  # set when an update collapsed the interval
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.k_l <= self.k_u <= 1.0):
             raise ValueError(f"invalid belief bounds [{self.k_l}, {self.k_u}]")
-        if self.k_l == self.k_u and not self.inconsistent:
-            raise ValueError("degenerate belief interval must carry the inconsistent flag")
 
     @property
     def omega_hat(self) -> float:
         return 0.5 * (self.k_l + self.k_u)
+
+    @property
+    def inconsistent(self) -> bool:
+        """Whether an update collapsed the interval; only a collapse makes the bounds equal."""
+        return self.k_l == self.k_u
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,5 +193,5 @@ def update_belief(
 
     if new_kl >= new_ku:
         mid = belief.omega_hat
-        return StyleBelief(k_l=mid, k_u=mid, inconsistent=True)
+        return StyleBelief(k_l=mid, k_u=mid)
     return StyleBelief(k_l=new_kl, k_u=new_ku)

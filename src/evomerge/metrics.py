@@ -13,7 +13,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import chain
-from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -54,8 +53,8 @@ def compute_metrics(trace: SimTrace) -> MetricsReport:
     """Metrics of one completed trace.
 
     Jerk pools first differences of recorded acceleration over all main-road
-    vehicles.  TTC is sampled at every step for every main-road vehicle
-    behind the merging vehicle once they share the lane, whenever the
+    vehicles.  TTC is sampled at every step from the lane change on, for
+    every main-road vehicle behind the merging vehicle, whenever the
     follower is closing; samples are capped.  Traces shorter than two steps
     per vehicle cannot be differenced and are rejected.
     """
@@ -74,21 +73,15 @@ def compute_metrics(trace: SimTrace) -> MetricsReport:
     terminal_speed = trace.v[probe][-1]
 
     ttc_samples: list[float] = []
-    if AV_ID in trace.s:
+    if trace.lane_change_time is not None:
         av_s, av_v = trace.s[AV_ID], trace.v[AV_ID]
-        merged = [k for k, lane in enumerate(trace.lane[AV_ID]) if lane is Lane.MAIN]
         for vid in mv_ids:
-            lane, s, v = trace.lane[vid], trace.s[vid], trace.v[vid]
-            for k in merged:
-                if lane[k] is not Lane.MAIN or s[k] >= av_s[k]:
-                    continue
+            s, v = trace.s[vid], trace.v[vid]
+            for k in range(trace.merge_step, len(trace.t)):
                 closing = v[k] - av_v[k]
-                if closing <= 0.0:
-                    continue
-                gap = body_gap(s[k], av_s[k])
-                if gap <= 0.0:
-                    continue
-                ttc_samples.append(min(gap / closing, TTC_CAP))
+                gap = body_gap(s[k], av_s[k])  # positive only behind the merging vehicle
+                if closing > 0.0 and gap > 0.0:
+                    ttc_samples.append(min(gap / closing, TTC_CAP))
 
     undefined = not ttc_samples
     mean_ttc = TTC_CAP if undefined else sum(ttc_samples) / len(ttc_samples)
@@ -118,8 +111,12 @@ class BatchSummary:
     terminal_speed_std: float
     mean_ttc_mean: float
     mean_ttc_std: float
-    failed_seeds: tuple[int, ...]
+    failures: tuple[tuple[int, str], ...]  # (seed, reason) of each failed run, in seed order
     reports: tuple[MetricsReport, ...]
+
+    @property
+    def failed_seeds(self) -> tuple[int, ...]:
+        return tuple(seed for seed, _ in self.failures)
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -157,9 +154,10 @@ def run_batch(
     raw.sort(key=lambda item: item[0])
 
     reports = [rep for _, rep, _ in raw if rep is not None]
-    failed = tuple(seed for seed, rep, _ in raw if rep is None)
+    failures = tuple((seed, reason) for seed, rep, reason in raw if rep is None)
     if not reports:
-        raise RuntimeError("every run in the batch failed")
+        seed, reason = failures[0]
+        raise RuntimeError(f"every run in the batch failed; seed {seed}: {reason}")
 
     collisions = sum(1 for r in reports if r.collided)
     mj = _mean_std([r.mean_jerk for r in reports])
@@ -175,7 +173,7 @@ def run_batch(
         max_jerk_mean=xj[0], max_jerk_std=xj[1],
         terminal_speed_mean=ts[0], terminal_speed_std=ts[1],
         mean_ttc_mean=tt[0], mean_ttc_std=tt[1],
-        failed_seeds=failed,
+        failures=failures,
         reports=tuple(reports),
     )
 
@@ -205,31 +203,29 @@ def _decision_fields(d: DecisionRecord) -> str:
 
 _NO_DECISION = ",,,,,"
 
-#: A lane's CSV text.  Reads the member's plain ``_value_`` attribute, because
-#: ``Lane.value`` (a property) and a dict keyed by members (hashed in Python)
-#: both cost a Python call per row.
-_lane_text = attrgetter("_value_")
-
 
 def trace_csv(trace: SimTrace) -> str:
     """Render one run as CSV; decision fields fill only the AV's decision rows.
 
-    One step's rows share a %-format with each vehicle's id filled in, so
-    every row is formatted once, column values feed it straight from the
-    trace, and each step time is formatted once.
+    One step's rows share a %-format with each main-road vehicle's id and
+    lane filled in, so every row is formatted once, column values feed it
+    straight from the trace, and each step time is formatted once.  The
+    merging vehicle reads ramp before its lane-change step, main from it on.
     """
     decisions = {d.t: _decision_fields(d) for d in trace.decisions}
     stamps = [fmt(t) for t in trace.t]
+    merged = trace.merge_step
     step_format = ""
     columns: list = []
     for vid in trace.s:
-        columns += [stamps, map(_lane_text, trace.lane[vid]),
-                    trace.s[vid], trace.v[vid], trace.a[vid]]
         if vid == AV_ID:
             step_format += f"%s,{AV_ID},%s,%.9g,%.9g,%.9g,%s\n"
-            columns.append([decisions.get(t, _NO_DECISION) for t in trace.t])
+            lanes = [Lane.RAMP.value] * merged + [Lane.MAIN.value] * (len(stamps) - merged)
+            columns += [stamps, lanes, trace.s[vid], trace.v[vid], trace.a[vid],
+                        [decisions.get(t, _NO_DECISION) for t in trace.t]]
         else:
-            step_format += f"%s,{vid.replace('%', '%%')},%s,%.9g,%.9g,%.9g,{_NO_DECISION}\n"
+            step_format += f"%s,{vid.replace('%', '%%')},{Lane.MAIN.value},%.9g,%.9g,%.9g,{_NO_DECISION}\n"
+            columns += [stamps, trace.s[vid], trace.v[vid], trace.a[vid]]
     body = step_format * len(trace.t) % tuple(chain.from_iterable(zip(*columns)))
     return f"{TRACE_HEADER}\n{body}"
 
@@ -272,4 +268,5 @@ def batch_summary_text(summary: BatchSummary) -> str:
         f"mean_ttc_std={fmt(summary.mean_ttc_std)}",
         f"failed_seeds={','.join(str(s) for s in summary.failed_seeds)}",
     ]
+    lines += [f"failure_{seed}={' '.join(reason.splitlines())}" for seed, reason in summary.failures]
     return "\n".join(lines) + "\n"

@@ -138,6 +138,17 @@ def execute_lane_change(
 # Scenario configuration
 
 
+def _check(what: str, value: float, positive: bool) -> None:
+    """Reject a value that is not finite, or is negative (or zero, when ``positive``)."""
+    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+        raise ValueError(f"{what} must be {'positive' if positive else '>= 0'} and finite, got {value}")
+
+
+def _check_finite(what: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
+
+
 @dataclass(frozen=True, slots=True)
 class HeadwaySpec:
     """Fixed headway, or one truncated-normal draw per run."""
@@ -149,10 +160,11 @@ class HeadwaySpec:
     def __post_init__(self) -> None:
         if self.kind not in ("fixed", "normal"):
             raise ValueError(f"unknown headway kind {self.kind!r}")
-        if self.kind == "fixed" and not self.value > 0.0:
-            raise ValueError(f"fixed headway must be positive, got {self.value}")
-        if self.kind == "normal" and not self.sigma >= 0.0:
-            raise ValueError(f"headway sigma must be >= 0, got {self.sigma}")
+        if self.kind == "fixed":
+            _check("fixed headway", self.value, positive=True)
+        else:
+            _check_finite("headway mean", self.value)
+            _check("headway sigma", self.sigma, positive=False)
 
     def sample(self, rng: np.random.Generator) -> float:
         if self.kind == "fixed":
@@ -173,8 +185,8 @@ class VehicleSpec:
     headway: HeadwaySpec
 
     def __post_init__(self) -> None:
-        if not self.speed >= 0.0:
-            raise ValueError(f"vehicle {self.vid}: speed must be >= 0, got {self.speed}")
+        _check_finite(f"vehicle {self.vid}: distance to merge", self.dist_to_merge)
+        _check(f"vehicle {self.vid}: speed", self.speed, positive=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,8 +196,8 @@ class AvSpec:
     omega: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.speed >= 0.0:
-            raise ValueError(f"AV speed must be >= 0, got {self.speed}")
+        _check_finite("AV distance to merge", self.dist_to_merge)
+        _check("AV speed", self.speed, positive=False)
         if not 0.0 < self.omega < 1.0:
             raise ValueError(f"AV omega must lie in (0, 1), got {self.omega}")
 
@@ -209,8 +221,12 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not self.vehicles:
             raise ValueError("scenario needs at least one main-road vehicle")
-        if not all(0.0 < x < math.inf for x in (self.duration, self.dt, self.decision_period)):
-            raise ValueError("duration, dt and decision_period must be positive and finite")
+        for name in ("duration", "dt", "decision_period", "headway_t", "flow_speed", "jerk_limit"):
+            _check(name, getattr(self, name), positive=True)
+        for name in ("speed_slack", "reaction_deadband", "probe_periods"):
+            _check(name, getattr(self, name), positive=False)
+        if not 0.0 <= self.probe_accel <= CONTROL_MAX:
+            raise ValueError(f"probe_accel must lie in [0, {CONTROL_MAX}], got {self.probe_accel}")
         if self.duration / self.dt > MAX_STEPS:
             raise ValueError(f"duration must span at most {MAX_STEPS} steps of dt")
         ratio = self.decision_period / self.dt
@@ -244,7 +260,10 @@ class DecisionRecord:
     maneuver: ManeuverKind
     k_l: Optional[float]
     k_u: Optional[float]
-    omega_hat: Optional[float]
+
+    @property
+    def omega_hat(self) -> Optional[float]:
+        return None if self.k_l is None else 0.5 * (self.k_l + self.k_u)
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,11 +277,12 @@ class CollisionEvent:
 class SimTrace:
     """Complete, deterministic record of one run.
 
-    The per-step record is columnar.  ``t`` holds the step times; ``lane``,
-    ``s``, ``v`` and ``a`` map each vehicle id to one entry per step: its
-    lane, position and speed at the start of the step and the acceleration
-    applied during it.  Vehicles appear in the order the run lists them, the
-    merging vehicle first, then the main-road vehicles in configuration order.
+    The per-step record is columnar.  ``t`` holds the step times; ``s``,
+    ``v`` and ``a`` map each vehicle id to one entry per step: its position
+    and speed at the start of the step and the acceleration applied during
+    it.  Vehicles appear in the order the run lists them, the merging
+    vehicle first, then the main-road vehicles in configuration order.  Only
+    the merging vehicle changes lane, once, at ``lane_change_time``.
     """
 
     seed: int
@@ -270,17 +290,27 @@ class SimTrace:
     dt: float
     duration: float
     t: list[float] = field(default_factory=list)
-    lane: dict[str, list[Lane]] = field(default_factory=dict)
     s: dict[str, list[float]] = field(default_factory=dict)
     v: dict[str, list[float]] = field(default_factory=dict)
     a: dict[str, list[float]] = field(default_factory=dict)
     decisions: list[DecisionRecord] = field(default_factory=list)
     collisions: list[CollisionEvent] = field(default_factory=list)
     final_order: tuple[str, ...] = ()
-    av_front: Optional[str] = None
-    av_rear: Optional[str] = None
     lane_change_time: Optional[float] = None
     true_styles: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def merge_step(self) -> int:
+        """Index of the first step the merging vehicle spends on the main lane; len(t) if none."""
+        return len(self.t) if self.lane_change_time is None else self.t.index(self.lane_change_time)
+
+    @property
+    def av_front(self) -> Optional[str]:
+        return (None, *self.final_order)[self.final_order.index(AV_ID)]
+
+    @property
+    def av_rear(self) -> Optional[str]:
+        return (*self.final_order, None)[self.final_order.index(AV_ID) + 1]
 
 
 @dataclass(slots=True)
@@ -385,7 +415,7 @@ class _Sim:
             self.maneuver = Maneuver(ManeuverKind.MERGE_AHEAD, target=None)
             trace.decisions.append(DecisionRecord(
                 t=t, opponent=None, p_star=None, q_star=None,
-                maneuver=self.maneuver.kind, k_l=None, k_u=None, omega_hat=None,
+                maneuver=self.maneuver.kind, k_l=None, k_u=None,
             ))
             self.try_lane_change(t, trace)
             return
@@ -418,7 +448,7 @@ class _Sim:
             p_star=report.ess.p if report.ess else None,
             q_star=report.ess.q if report.ess else None,
             maneuver=self.maneuver.kind,
-            k_l=belief.k_l, k_u=belief.k_u, omega_hat=belief.omega_hat,
+            k_l=belief.k_l, k_u=belief.k_u,
         ))
 
         if self.maneuver.kind is ManeuverKind.YIELD_SHIFT:
@@ -474,18 +504,16 @@ class _Sim:
                 return -EMERGENCY_DECEL
             return idm_accel(self.av_idm, v[0], gap, v[0] - v[self.front])
         if self.maneuver.target is None:
-            if self.maneuver.kind is ManeuverKind.MERGE_AHEAD:
-                # Tail slot claimed: settle in behind the last platoon vehicle.
-                tail = min(range(1, len(self.ids)), key=s.__getitem__)
-                if s[0] < s[tail]:
-                    gap = body_gap(s[0], s[tail])
-                    if gap <= 0.0:
-                        return -EMERGENCY_DECEL
-                    return idm_accel(self.av_idm, v[0], gap, v[0] - v[tail])
-                tail_id = self.ids[tail]
-                ctx = self.context_for(tail_id, self.beliefs[tail_id].omega_hat)
-                return merge_control(ctx, Maneuver(ManeuverKind.YIELD_SHIFT, target=tail_id))
-            return 0.0
+            # Tail slot claimed, the only maneuver without a target: settle behind the platoon.
+            tail = min(range(1, len(self.ids)), key=s.__getitem__)
+            if s[0] < s[tail]:
+                gap = body_gap(s[0], s[tail])
+                if gap <= 0.0:
+                    return -EMERGENCY_DECEL
+                return idm_accel(self.av_idm, v[0], gap, v[0] - v[tail])
+            tail_id = self.ids[tail]
+            ctx = self.context_for(tail_id, self.beliefs[tail_id].omega_hat)
+            return merge_control(ctx, Maneuver(ManeuverKind.YIELD_SHIFT, target=tail_id))
         ctx = self.context_for(self.maneuver.target, self.beliefs[self.maneuver.target].omega_hat)
         u = merge_control(ctx, self.maneuver)
         if (self.maneuver.kind is ManeuverKind.MERGE_AHEAD
@@ -541,8 +569,7 @@ class _Sim:
 
 def _by_vehicle(ids: list[str], rows: list) -> dict[str, list]:
     """Per-step rows (one entry per vehicle) turned into per-vehicle columns."""
-    columns = zip(*rows) if rows else [()] * len(ids)
-    return {vid: list(col) for vid, col in zip(ids, columns)}
+    return {vid: list(col) for vid, col in zip(ids, zip(*rows))}
 
 
 def run_scenario(cfg: SimConfig, policy: Policy = Policy.EGT) -> SimTrace:
@@ -550,7 +577,7 @@ def run_scenario(cfg: SimConfig, policy: Policy = Policy.EGT) -> SimTrace:
     sim = _Sim(cfg, policy)
     trace = SimTrace(seed=cfg.seed, policy=policy, dt=cfg.dt, duration=cfg.duration,
                      true_styles=sim.true_styles)
-    lanes, positions, speeds, accels = [], [], [], []
+    positions, speeds, accels = [], [], []
 
     for k in range(cfg.n_steps):
         t = round(k * cfg.dt, 9)
@@ -559,7 +586,6 @@ def run_scenario(cfg: SimConfig, policy: Policy = Policy.EGT) -> SimTrace:
 
         accel = sim.accelerations()
         trace.t.append(t)
-        lanes.append(tuple(sim.lane))
         positions.append(tuple(sim.s))
         speeds.append(tuple(sim.v))
         accels.append(accel)
@@ -568,7 +594,6 @@ def run_scenario(cfg: SimConfig, policy: Policy = Policy.EGT) -> SimTrace:
         for first, second in check_collision(sim.ids, sim.lane, sim.s):
             trace.collisions.append(CollisionEvent(t=round((k + 1) * cfg.dt, 9), first=first, second=second))
 
-    trace.lane = _by_vehicle(sim.ids, lanes)
     trace.s = _by_vehicle(sim.ids, positions)
     trace.v = _by_vehicle(sim.ids, speeds)
     trace.a = _by_vehicle(sim.ids, accels)
@@ -582,20 +607,10 @@ def _finalize(sim: _Sim, trace: SimTrace) -> None:
     if sim.lane[0] is Lane.MAIN:
         ids = [sim.ids[i] for i in sorted([0, *mains], key=lambda i: -sim.s[i])]
     else:
-        ids = []
-        placed = False
+        ids = [sim.ids[i] for i in mains]  # front to back
         opp = sim.opponent()
-        for i in mains:  # front to back
-            if not placed and opp == sim.ids[i]:
-                ids.append(AV_ID)
-                placed = True
-            ids.append(sim.ids[i])
-        if not placed:
-            ids.append(AV_ID)
+        ids.insert(len(ids) if opp is None else ids.index(opp), AV_ID)
     trace.final_order = tuple(ids)
-    idx = ids.index(AV_ID)
-    trace.av_front = ids[idx - 1] if idx > 0 else None
-    trace.av_rear = ids[idx + 1] if idx + 1 < len(ids) else None
 
 
 # --------------------------------------------------------------------------
@@ -607,10 +622,13 @@ class EstimationRound:
     t: float
     k_l: float
     k_u: float
-    omega_hat: float
     predicted_q: Optional[float]
     accelerated: bool
     updated: bool
+
+    @property
+    def omega_hat(self) -> float:
+        return 0.5 * (self.k_l + self.k_u)
 
 
 @dataclass(slots=True)
@@ -698,7 +716,7 @@ def run_estimation_bench(
         ess = _operative_ess(deviation_gains(table.matrix_at(ctx.mv_omega)))
         if ess is None:
             rounds.append(EstimationRound(
-                t=t, k_l=belief.k_l, k_u=belief.k_u, omega_hat=belief.omega_hat,
+                t=t, k_l=belief.k_l, k_u=belief.k_u,
                 predicted_q=None, accelerated=False, updated=False,
             ))
             continue
@@ -720,7 +738,7 @@ def run_estimation_bench(
         belief = new_belief
 
         rounds.append(EstimationRound(
-            t=t, k_l=belief.k_l, k_u=belief.k_u, omega_hat=belief.omega_hat,
+            t=t, k_l=belief.k_l, k_u=belief.k_u,
             predicted_q=ess.q, accelerated=reaction.accelerated, updated=updated,
         ))
 

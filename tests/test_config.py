@@ -175,6 +175,24 @@ def test_cli_config_error_exit_code(tmp_path):
     pytest.param("v = 10.0\n\n[vehicle]", "v = 10.0\nomega = 1.5\n\n[vehicle]", id="av-omega"),
     pytest.param("d = 120.0\nv = 10.0", "d = 120.0\nv = -1.0", id="negative-speed"),
     pytest.param("duration = 10.0", "duration = 0.1\ndt = 0.1\ndecision_period = 0.1", id="one-step"),
+    pytest.param("duration = 10.0", "duration = 10.0\nheadway_t = 0", id="zero-headway-t"),
+    pytest.param("duration = 10.0", "duration = 10.0\nheadway_t = -1", id="negative-headway-t"),
+    pytest.param("duration = 10.0", "duration = 10.0\nheadway_t = nan", id="nan-headway-t"),
+    pytest.param("duration = 10.0", "duration = 10.0\nflow_speed = 0", id="zero-flow-speed"),
+    pytest.param("duration = 10.0", "duration = 10.0\nspeed_slack = -20", id="negative-speed-slack"),
+    pytest.param("duration = 10.0", "duration = 10.0\njerk_limit = -1", id="negative-jerk-limit"),
+    pytest.param("duration = 10.0", "duration = 10.0\njerk_limit = nan", id="nan-jerk-limit"),
+    pytest.param("duration = 10.0", "duration = 10.0\nreaction_deadband = nan", id="nan-deadband"),
+    pytest.param("duration = 10.0", "duration = 10.0\nreaction_deadband = -1", id="negative-deadband"),
+    pytest.param("duration = 10.0", "duration = 10.0\nprobe_accel = nan", id="nan-probe-accel"),
+    pytest.param("duration = 10.0", "duration = 10.0\nprobe_accel = 50", id="probe-beyond-authority"),
+    pytest.param("duration = 10.0", "duration = 10.0\nprobe_periods = -1", id="negative-probe-periods"),
+    pytest.param("d = 100.0", "d = nan", id="nan-av-d"),
+    pytest.param("d = 100.0\nv = 10.0", "d = 100.0\nv = inf", id="inf-av-speed"),
+    pytest.param("d = 120.0", "d = nan", id="nan-vehicle-d"),
+    pytest.param("d = 120.0\nv = 10.0", "d = 120.0\nv = inf", id="inf-vehicle-speed"),
+    pytest.param("headway = fixed:2.0", "headway = fixed:inf", id="inf-headway"),
+    pytest.param("headway = fixed:2.0", "headway = normal:nan,0.5", id="nan-headway-mean"),
 ])
 def test_cli_bad_values_exit_at_config_time(tmp_path, capsys, old, new):
     assert MINIMAL.count(old) == 1

@@ -32,11 +32,11 @@ def ctx_for(d_av, d_mv, omega_hat=0.5, headway=2.0, v=10.0):
 def test_belief_invariants():
     b = StyleBelief()
     assert b.k_l == 0.0 and b.k_u == 1.0 and b.omega_hat == 0.5
+    assert not b.inconsistent
     with pytest.raises(ValueError):
         StyleBelief(0.7, 0.3)
-    with pytest.raises(ValueError):
-        StyleBelief(0.5, 0.5)  # degenerate needs the flag
-    assert StyleBelief(0.5, 0.5, inconsistent=True).omega_hat == 0.5
+    collapsed = StyleBelief(0.5, 0.5)  # only a collapse makes the bounds equal
+    assert collapsed.inconsistent and collapsed.omega_hat == 0.5
 
 
 def test_observed_reaction_equality_is_not_acceleration():

@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from evomerge import Lane, SimConfig
+from evomerge import SimConfig
 from evomerge.baselines import Policy
 from evomerge.metrics import (
     TTC_CAP,
@@ -12,20 +14,21 @@ from evomerge.metrics import (
 from evomerge.runner import AvSpec, HeadwaySpec, SimTrace, VehicleSpec
 
 
-def synthetic_trace(columns, dt=0.1, collisions=()):
-    """A trace from {vid: (lanes, s, v, a)} columns of one common length."""
-    trace = SimTrace(seed=0, policy=Policy.EGT, dt=dt, duration=dt * 3)
+def synthetic_trace(columns, dt=0.1, collisions=(), lane_change_time=None):
+    """A trace from {vid: (s, v, a)} columns of one common length."""
+    trace = SimTrace(seed=0, policy=Policy.EGT, dt=dt, duration=dt * 3,
+                     lane_change_time=lane_change_time)
     n = len(next(iter(columns.values()))[0])
     trace.t = [round(k * dt, 9) for k in range(n)]
-    for vid, (lanes, s, v, a) in columns.items():
-        trace.lane[vid], trace.s[vid], trace.v[vid], trace.a[vid] = lanes, s, v, a
+    for vid, (s, v, a) in columns.items():
+        trace.s[vid], trace.v[vid], trace.a[vid] = s, v, a
     trace.collisions = list(collisions)
     return trace
 
 
-def columns_for(vid, accels, lane=Lane.MAIN, s0=0.0, v=10.0, dt=0.1):
+def columns_for(vid, accels, s0=0.0, v=10.0, dt=0.1):
     n = len(accels)
-    return {vid: ([lane] * n, [s0 + k * v * dt for k in range(n)], [v] * n, list(accels))}
+    return {vid: ([s0 + k * v * dt for k in range(n)], [v] * n, list(accels))}
 
 
 def test_constant_acceleration_means_zero_jerk():
@@ -45,12 +48,25 @@ def test_three_step_jerk_arithmetic():
 def test_ttc_ratio_definition():
     # follower 50 m of clear gap behind the merged vehicle, closing at 10 m/s
     n = 3
-    av = ([Lane.MAIN] * n, [1000.0] * n, [10.0] * n, [0.0] * n)
-    mv = ([Lane.MAIN] * n, [945.0] * n, [20.0] * n, [0.0] * n)
-    trace = synthetic_trace({"AV": av, "MV1": mv})
+    av = ([1000.0] * n, [10.0] * n, [0.0] * n)
+    mv = ([945.0] * n, [20.0] * n, [0.0] * n)
+    trace = synthetic_trace({"AV": av, "MV1": mv}, lane_change_time=0.0)
     report = compute_metrics(trace)
     assert report.mean_ttc == pytest.approx(5.0)
     assert not report.ttc_undefined_dominant
+
+
+def test_ttc_sampled_only_from_the_lane_change_on():
+    # the follower closes at 10 m/s throughout; before the change (t < 0.2) its
+    # 15 m gap would read TTC 1.5, after it the 50 m gap reads 5.0
+    av = ([1000.0] * 4, [10.0] * 4, [0.0] * 4)
+    mv = ([980.0, 980.0, 945.0, 945.0], [20.0] * 4, [0.0] * 4)
+    trace = synthetic_trace({"AV": av, "MV1": mv}, lane_change_time=0.2)
+    assert compute_metrics(trace).mean_ttc == pytest.approx(5.0)
+    trace.lane_change_time = 0.0
+    assert compute_metrics(trace).mean_ttc == pytest.approx(3.25)
+    trace.lane_change_time = None
+    assert compute_metrics(trace).ttc_undefined_dominant
 
 
 def test_ttc_undefined_dominant_when_never_closing():
@@ -134,8 +150,37 @@ def test_batch_records_failed_runs_without_crashing(monkeypatch):
     monkeypatch.setattr(metrics_mod, "run_scenario", flaky)
     summary = run_batch(scenario_config(), n=4, base_seed=0)
     assert summary.failed_seeds == (2,)
+    assert summary.failures == ((2, "ValueError: synthetic failure"),)
     assert len(summary.reports) + len(summary.failed_seeds) == summary.n_runs
     assert 0.0 <= summary.collision_rate <= 100.0
+    lines = batch_summary_text(summary).splitlines()
+    assert lines[-2:] == ["failed_seeds=2", "failure_2=ValueError: synthetic failure"]
+
+
+def test_batch_failure_reasons_are_single_lines(monkeypatch):
+    import evomerge.metrics as metrics_mod
+
+    real = metrics_mod.run_scenario
+
+    def flaky(cfg, policy):
+        if cfg.seed == 1:
+            raise ValueError("synthetic failure\nsecond line")
+        return real(cfg, policy)
+
+    monkeypatch.setattr(metrics_mod, "run_scenario", flaky)
+    text = batch_summary_text(run_batch(scenario_config(), n=2, base_seed=0))
+    assert text.splitlines()[-1] == "failure_1=ValueError: synthetic failure second line"
+
+
+def test_all_failed_batch_names_the_first_reason(monkeypatch):
+    import evomerge.metrics as metrics_mod
+
+    def broken(cfg, policy):
+        raise ValueError(f"synthetic failure at seed {cfg.seed}")
+
+    monkeypatch.setattr(metrics_mod, "run_scenario", broken)
+    with pytest.raises(RuntimeError, match="seed 3: ValueError: synthetic failure at seed 3"):
+        run_batch(scenario_config(), n=2, base_seed=3)
 
 
 def test_batch_lets_programming_errors_propagate(monkeypatch):
@@ -167,12 +212,12 @@ def test_trace_csv_shape():
 def test_trace_csv_rows_from_columns():
     from evomerge.runner import DecisionRecord, ManeuverKind
 
-    av = ([Lane.RAMP, Lane.MAIN], [195.0, 196.25], [12.5, 12.5], [0.0, -0.5])
-    mv = ([Lane.MAIN, Lane.MAIN], [180.0, 181.0], [10.0, 10.0], [0.1, 0.2])
-    trace = synthetic_trace({"AV": av, "MV1": mv})
+    av = ([195.0, 196.25], [12.5, 12.5], [0.0, -0.5])
+    mv = ([180.0, 181.0], [10.0, 10.0], [0.1, 0.2])
+    trace = synthetic_trace({"AV": av, "MV1": mv}, lane_change_time=0.1)
     trace.decisions = [DecisionRecord(
         t=0.1, opponent="MV1", p_star=0.0, q_star=1.0, maneuver=ManeuverKind.MERGE_AHEAD,
-        k_l=0.25, k_u=0.75, omega_hat=0.5,
+        k_l=0.25, k_u=0.75,
     )]
     assert trace_csv(trace).splitlines() == [
         "t,id,lane,s,v,a,decision,p_star,q_star,k_l,k_u,omega_hat",
@@ -181,3 +226,21 @@ def test_trace_csv_rows_from_columns():
         "0.1,AV,main,196.25,12.5,-0.5,merge_ahead[MV1],0,1,0.25,0.75,0.5",
         "0.1,MV1,main,181,10,0.2,,,,,,",
     ]
+
+
+def test_trace_csv_lane_column_follows_lane_change_time():
+    from dataclasses import replace
+
+    from evomerge.config import load_scenario
+    from evomerge.runner import run_scenario
+
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    cfg = replace(load_scenario(scenarios / "scenario1.cfg"), seed=2, duration=60.0)
+    trace = run_scenario(cfg)
+    assert trace.lane_change_time is not None
+    rows = [line.split(",") for line in trace_csv(trace).splitlines()[1:]]
+    av_lanes = [(float(row[0]), row[2]) for row in rows if row[1] == "AV"]
+    assert len(av_lanes) == cfg.n_steps
+    assert all(lane == ("ramp" if t < trace.lane_change_time else "main") for t, lane in av_lanes)
+    assert {lane for _, lane in av_lanes} == {"ramp", "main"}
+    assert all(row[2] == "main" for row in rows if row[1] != "AV")

@@ -184,7 +184,7 @@ def test_step_record_count_matches_grid():
     assert len(trace.t) == n_steps
     assert list(trace.s) == ["AV", "MV1", "MV2", "MV3", "MV4", "MV5"]
     for vid in ("AV", "MV1", "MV2", "MV3", "MV4", "MV5"):
-        for column in (trace.lane, trace.s, trace.v, trace.a):
+        for column in (trace.s, trace.v, trace.a):
             assert len(column[vid]) == n_steps
 
 
@@ -269,7 +269,7 @@ def test_bench_converges_for_sample_styles():
 
 def test_estimation_result_tallies_come_from_rounds():
     def round_(k_l, k_u, updated):
-        return EstimationRound(t=0.0, k_l=k_l, k_u=k_u, omega_hat=0.5 * (k_l + k_u),
+        return EstimationRound(t=0.0, k_l=k_l, k_u=k_u,
                                predicted_q=1.0, accelerated=updated, updated=updated)
 
     rounds = [round_(0.0, 1.0, False), round_(0.5, 1.0, True), round_(0.5, 0.75, True)]
@@ -316,7 +316,7 @@ def reference_bench(cfg, true_omega, seed):
         report = solve_ess(build_matrix(ctx))
         if report.ess is None:
             rounds.append(EstimationRound(
-                t=t, k_l=belief.k_l, k_u=belief.k_u, omega_hat=belief.omega_hat,
+                t=t, k_l=belief.k_l, k_u=belief.k_u,
                 predicted_q=None, accelerated=False, updated=False,
             ))
             continue
@@ -340,7 +340,7 @@ def reference_bench(cfg, true_omega, seed):
         if not (belief.k_l - 1e-9 <= true_omega <= belief.k_u + 1e-9):
             contained = False
         rounds.append(EstimationRound(
-            t=t, k_l=belief.k_l, k_u=belief.k_u, omega_hat=belief.omega_hat,
+            t=t, k_l=belief.k_l, k_u=belief.k_u,
             predicted_q=report.ess.q, accelerated=reaction.accelerated, updated=updated,
         ))
     return rounds, belief, n_updates, contained
