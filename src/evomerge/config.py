@@ -20,9 +20,10 @@ class ConfigError(ValueError):
     """Raised on any malformed or unknown scenario-file content."""
 
 
-#: Every scalar SimConfig field is a [sim] key, cast with its annotated type.
+#: Every scalar SimConfig field but the seed is a [sim] key, cast with its
+#: annotated type.  The seed comes from the command line, run by run.
 _SIM_KEYS = {
-    name: kind for name, kind in get_type_hints(SimConfig).items() if name not in ("vehicles", "av")
+    name: kind for name, kind in get_type_hints(SimConfig).items() if name not in ("vehicles", "av", "seed")
 }
 #: The AvSpec field each [av] key sets; omitted keys keep the AvSpec defaults.
 _AV_FIELDS = {"d": "dist_to_merge", "v": "speed", "omega": "omega"}

@@ -34,6 +34,10 @@ from .payoff import CellTable, GameContext
 #: what the arithmetic resolves, so its midpoint would classify noise.
 BREAKPOINT_RESOLUTION = 1e-10
 
+#: A speed gain of this much or less over one decision period is not read
+#: as a deliberate acceleration, m/s.
+REACTION_DEADBAND = 0.18
+
 
 @dataclass(frozen=True, slots=True)
 class StyleBelief:
@@ -61,12 +65,13 @@ class Reaction:
     accelerated: bool
 
 
-def observed_reaction(v_now: float, v_prev: float, deadband: float) -> Reaction:
+def observed_reaction(v_now: float, v_prev: float) -> Reaction:
     """Classify two consecutive speed observations as acceleration or not.
 
-    A speed gain of ``deadband`` m/s or less does not count as acceleration.
+    A speed gain of ``REACTION_DEADBAND`` m/s or less does not count as
+    acceleration.
     """
-    return Reaction(accelerated=v_now > v_prev + deadband)
+    return Reaction(accelerated=v_now > v_prev + REACTION_DEADBAND)
 
 
 @dataclass(frozen=True, slots=True)

@@ -60,11 +60,19 @@ AV_ID = "AV"
 CONTROL_MIN = -8.0
 CONTROL_MAX = 3.0
 
+#: Proactive test acceleration in the opening game, m/s^2, and the decision
+#: periods it lasts.
+PROBE_ACCEL = 1.2
+PROBE_PERIODS = 3
+
 #: Headway samples are truncated into this range, seconds.
 HEADWAY_RANGE = (0.5, 3.5)
 
 #: Targets below this demand immediate braking and bypass the comfort slew.
 EMERGENCY_TARGET = -4.0
+
+#: Main-road comfort slew on acceleration, m/s^3.
+JERK_LIMIT = 1.2
 
 #: Most kinematic steps one run may take: 10 000 s at the shipped dt of
 #: 0.1 s, far beyond any merge.  A run stores every step, so an unbounded
@@ -197,6 +205,9 @@ class AvSpec:
 
     def __post_init__(self) -> None:
         _check_finite("AV distance to merge", self.dist_to_merge)
+        if MERGE_POINT_S - self.dist_to_merge > CONVERGENCE_AREA[1]:
+            raise ValueError(f"AV must start before the ramp ends at {CONVERGENCE_AREA[1]} m,"
+                             f" got distance to merge {self.dist_to_merge}")
         _check("AV speed", self.speed, positive=False)
         if not 0.0 < self.omega < 1.0:
             raise ValueError(f"AV omega must lie in (0, 1), got {self.omega}")
@@ -211,22 +222,12 @@ class SimConfig:
     decision_period: float = 1.0
     seed: int = 0
     headway_t: float = 2.0       # right-of-way margin in the payoff and control laws
-    flow_speed: float = 10.0     # nominal main-road speed anchoring desired speeds
-    speed_slack: float = 6.0     # extra desired speed for fully aggressive styles
-    reaction_deadband: float = 0.18  # speed change read as a deliberate reaction, m/s
-    jerk_limit: float = 1.2      # main-road comfort slew on acceleration, m/s^3
-    probe_accel: float = 1.2     # proactive test acceleration in the opening game, m/s^2
-    probe_periods: int = 3       # decision periods the probe lasts
 
     def __post_init__(self) -> None:
         if not self.vehicles:
             raise ValueError("scenario needs at least one main-road vehicle")
-        for name in ("duration", "dt", "decision_period", "headway_t", "flow_speed", "jerk_limit"):
+        for name in ("duration", "dt", "decision_period", "headway_t"):
             _check(name, getattr(self, name), positive=True)
-        for name in ("speed_slack", "reaction_deadband", "probe_periods"):
-            _check(name, getattr(self, name), positive=False)
-        if not 0.0 <= self.probe_accel <= CONTROL_MAX:
-            raise ValueError(f"probe_accel must lie in [0, {CONTROL_MAX}], got {self.probe_accel}")
         if self.duration / self.dt > MAX_STEPS:
             raise ValueError(f"duration must span at most {MAX_STEPS} steps of dt")
         ratio = self.decision_period / self.dt
@@ -324,10 +325,11 @@ class _Prediction:
 class _Sim:
     """Mutable loop state for one scenario run.
 
-    Vehicle state is columnar: ``lane``, ``s`` and ``v`` hold one entry per
-    vehicle, index 0 the merging vehicle and 1..n the main-road vehicles in
-    configuration order (the order of ``ids``).  The merging vehicle has
-    committed to its slot once its lane is the main lane.
+    Vehicle state is columnar: ``s`` and ``v`` hold one entry per vehicle,
+    index 0 the merging vehicle and 1..n the main-road vehicles in
+    configuration order (the order of ``ids``).  The main-road vehicles never
+    leave the main lane; the merging vehicle joins it, committed to its slot,
+    once ``merged`` is set.
     """
 
     def __init__(self, cfg: SimConfig, policy: Policy):
@@ -335,23 +337,20 @@ class _Sim:
         self.policy = policy
         rng = np.random.default_rng(cfg.seed)
 
-        self.av_idm = idm_params_for_style(
-            cfg.av.omega, headway_from_style(cfg.av.omega), cfg.flow_speed, cfg.speed_slack
-        )
-
         self.mv_ids: list[str] = []
-        self.idm = [self.av_idm]  # by vehicle index
+        # By vehicle index, the merging vehicle's own style first.
+        self.idm = [idm_params_for_style(cfg.av.omega, headway_from_style(cfg.av.omega))]
         self.true_styles: dict[str, float] = {}
         for spec in cfg.vehicles:
             headway = spec.headway.sample(rng)
             omega = style_from_headway(headway)
             self.mv_ids.append(spec.vid)
-            self.idm.append(idm_params_for_style(omega, headway, cfg.flow_speed, cfg.speed_slack))
+            self.idm.append(idm_params_for_style(omega, headway))
             self.true_styles[spec.vid] = omega
 
         self.ids = [AV_ID, *self.mv_ids]
         self.index = {vid: i for i, vid in enumerate(self.ids)}
-        self.lane = [Lane.RAMP] + [Lane.MAIN] * len(self.mv_ids)
+        self.merged = False
         self.s = [MERGE_POINT_S - cfg.av.dist_to_merge]
         self.s += [MERGE_POINT_S - spec.dist_to_merge for spec in cfg.vehicles]
         self.v = [cfg.av.speed] + [spec.speed for spec in cfg.vehicles]
@@ -379,12 +378,13 @@ class _Sim:
 
     def view(self, i: int) -> VehicleState:
         """Vehicle i as a state object, for the one-vehicle API."""
-        return VehicleState(self.ids[i], self.lane[i], self.s[i], self.v[i])
+        lane = Lane.MAIN if i or self.merged else Lane.RAMP
+        return VehicleState(self.ids[i], lane, self.s[i], self.v[i])
 
     def place(self, state: VehicleState) -> None:
-        """Write a state object back into the columns."""
+        """Write a state object's position and speed back into the columns."""
         i = self.index[state.vid]
-        self.lane[i], self.s[i], self.v[i] = state.lane, state.s, state.v
+        self.s[i], self.v[i] = state.s, state.v
 
     def opponent(self) -> Optional[str]:
         if self.next_opponent < len(self.opponent_order):
@@ -422,7 +422,7 @@ class _Sim:
 
         v_opp = self.v[self.index[opp]]
         if self.pending is not None and self.pending.opponent == opp:
-            reaction = observed_reaction(v_opp, self.pending.v_opponent, self.cfg.reaction_deadband)
+            reaction = observed_reaction(v_opp, self.pending.v_opponent)
             self.beliefs[opp] = update_belief(
                 self.beliefs[opp], self.pending.ess, reaction, self.pending.ctx
             )
@@ -461,16 +461,17 @@ class _Sim:
         self.pending = None
 
     def try_lane_change(self, t: float, trace: SimTrace) -> None:
-        if self.s[0] < CONVERGENCE_AREA[0] or self.maneuver.kind is not ManeuverKind.MERGE_AHEAD:
+        lo, hi = CONVERGENCE_AREA
+        if not lo <= self.s[0] <= hi or self.maneuver.kind is not ManeuverKind.MERGE_AHEAD:
             return
-        # The AV's leader among the main-road vehicles, with the AV listed last.
-        ahead = leaders([*self.s[1:], self.s[0]])[-1]
-        front = None if ahead is None else self.view(ahead + 1)
+        ahead = leaders(self.s)[0]
+        front = None if ahead is None else self.view(ahead)
         rear = self.view(self.index[self.maneuver.target]) if self.maneuver.target else None
-        moved, ok = execute_lane_change(self.view(0), front, rear, min_gap=self.av_idm.s0)
+        moved, ok = execute_lane_change(self.view(0), front, rear, min_gap=self.idm[0].s0)
         if ok:
             self.place(moved)
-            self.front = None if ahead is None else ahead + 1
+            self.merged = True
+            self.front = ahead
             self.pending = None
             trace.lane_change_time = t
         elif self.maneuver.target is not None:
@@ -482,35 +483,40 @@ class _Sim:
 
     def accelerations(self) -> list[float]:
         """This step's commands, by vehicle index."""
+        s, v = self.s, self.v
         accel = [self.av_accel()]
-        # Virtual leader: the merging vehicle constrains the driver it is
-        # actively gaming while it is still on the ramp and ahead.
-        game = None
-        if self.lane[0] is Lane.RAMP:
-            opp = self.opponent()
-            game = None if opp is None else self.index[opp]
-        for i, ahead in enumerate(leaders(self.s[1:]), start=1):
-            target = self.mv_accel(i, None if ahead is None else ahead + 1, i == game)
-            accel.append(self.slewed(i, target))
+        # Each main-road vehicle follows its leader on the main lane, the AV
+        # included once merged.  Before that the AV is a virtual leader: it
+        # constrains the driver it is actively gaming while it is ahead.
+        first = 0 if self.merged else 1  # index of the first main-lane vehicle
+        opp = None if self.merged else self.opponent()
+        game = None if opp is None else self.index[opp]
+        for i, ahead in enumerate(leaders(s[first:])[1 - first:], start=1):
+            a = self.follow(i, None if ahead is None else ahead + first)
+            if i == game and s[0] > s[i]:
+                gap = max(body_gap(s[i], s[0]), 0.5)
+                a = min(a, idm_accel(self.idm[i], v[i], gap, v[i] - v[0]))
+            accel.append(self.slewed(i, a))
         return accel
 
-    def av_accel(self) -> float:
+    def follow(self, i: int, leader: Optional[int]) -> float:
+        """IDM command of vehicle i behind ``leader`` (free road when None); full braking on overlap."""
         s, v = self.s, self.v
-        if self.lane[0] is Lane.MAIN:
-            if self.front is None:
-                return idm_accel(self.av_idm, v[0], FREE_ROAD_GAP, 0.0)
-            gap = body_gap(s[0], s[self.front])
-            if gap <= 0.0:
-                return -EMERGENCY_DECEL
-            return idm_accel(self.av_idm, v[0], gap, v[0] - v[self.front])
+        if leader is None:
+            return idm_accel(self.idm[i], v[i], FREE_ROAD_GAP, 0.0)
+        gap = body_gap(s[i], s[leader])
+        if gap <= 0.0:
+            return -EMERGENCY_DECEL
+        return idm_accel(self.idm[i], v[i], gap, v[i] - v[leader])
+
+    def av_accel(self) -> float:
+        if self.merged:
+            return self.follow(0, self.front)
         if self.maneuver.target is None:
             # Tail slot claimed, the only maneuver without a target: settle behind the platoon.
-            tail = min(range(1, len(self.ids)), key=s.__getitem__)
-            if s[0] < s[tail]:
-                gap = body_gap(s[0], s[tail])
-                if gap <= 0.0:
-                    return -EMERGENCY_DECEL
-                return idm_accel(self.av_idm, v[0], gap, v[0] - v[tail])
+            tail = min(range(1, len(self.ids)), key=self.s.__getitem__)
+            if self.s[0] < self.s[tail]:
+                return self.follow(0, tail)
             tail_id = self.ids[tail]
             ctx = self.context_for(tail_id, self.beliefs[tail_id].omega_hat)
             return merge_control(ctx, Maneuver(ManeuverKind.YIELD_SHIFT, target=tail_id))
@@ -518,42 +524,21 @@ class _Sim:
         u = merge_control(ctx, self.maneuver)
         if (self.maneuver.kind is ManeuverKind.MERGE_AHEAD
                 and self.next_opponent == self.first_opponent
-                and self.periods <= self.cfg.probe_periods):
+                and self.periods <= PROBE_PERIODS):
             # Proactive acceleration test against the adjacent driver: open
             # the gap so a chase becomes visible before arrival tracking
             # takes over.  Every period so far was played against this first
             # opponent.  Later games skip the probe; the slot between two
             # platoon vehicles is too tight to accelerate into blindly.
-            u = max(u, self.cfg.probe_accel)
+            u = max(u, PROBE_ACCEL)
         return u
-
-    def mv_accel(self, i: int, leader: Optional[int], gamed: bool) -> float:
-        """IDM command of main-road vehicle i behind ``leader``, capped by the AV when ``gamed``."""
-        s, v = self.s, self.v
-        if self.lane[0] is Lane.MAIN and s[0] > s[i] and (leader is None or s[0] < s[leader]):
-            leader = 0
-
-        if leader is None:
-            a = idm_accel(self.idm[i], v[i], FREE_ROAD_GAP, 0.0)
-        else:
-            gap = body_gap(s[i], s[leader])
-            if gap <= 0.0:
-                return -EMERGENCY_DECEL
-            a = idm_accel(self.idm[i], v[i], gap, v[i] - v[leader])
-
-        if gamed and s[0] > s[i]:
-            gap = body_gap(s[i], s[0])
-            if gap <= 0.5:
-                gap = 0.5
-            a = min(a, idm_accel(self.idm[i], v[i], gap, v[i] - v[0]))
-        return a
 
     def slewed(self, i: int, target: float) -> float:
         prev = self.prev_accel[i]
         if prev is None:
             self.prev_accel[i] = target
             return target
-        span = self.cfg.jerk_limit * self.cfg.dt
+        span = JERK_LIMIT * self.cfg.dt
         a = min(max(target, prev - span), prev + span)
         if target <= EMERGENCY_TARGET and target < a:
             a = target
@@ -581,7 +566,7 @@ def run_scenario(cfg: SimConfig, policy: Policy = Policy.EGT) -> SimTrace:
 
     for k in range(cfg.n_steps):
         t = round(k * cfg.dt, 9)
-        if k % cfg.steps_per_period == 0 and sim.lane[0] is Lane.RAMP:
+        if k % cfg.steps_per_period == 0 and not sim.merged:
             sim.decision_step(t, trace)
 
         accel = sim.accelerations()
@@ -591,7 +576,9 @@ def run_scenario(cfg: SimConfig, policy: Policy = Policy.EGT) -> SimTrace:
         accels.append(accel)
 
         sim.step(accel)
-        for first, second in check_collision(sim.ids, sim.lane, sim.s):
+        # The ramp only ever holds the AV, so only the main lane can collide.
+        main = 0 if sim.merged else 1
+        for first, second in check_collision(sim.ids[main:], sim.s[main:]):
             trace.collisions.append(CollisionEvent(t=round((k + 1) * cfg.dt, 9), first=first, second=second))
 
     trace.s = _by_vehicle(sim.ids, positions)
@@ -604,7 +591,7 @@ def run_scenario(cfg: SimConfig, policy: Policy = Policy.EGT) -> SimTrace:
 def _finalize(sim: _Sim, trace: SimTrace) -> None:
     """Final merge position: physical order if merged, projected slot otherwise."""
     mains = sorted(range(1, len(sim.ids)), key=lambda i: -sim.s[i])
-    if sim.lane[0] is Lane.MAIN:
+    if sim.merged:
         ids = [sim.ids[i] for i in sorted([0, *mains], key=lambda i: -sim.s[i])]
     else:
         ids = [sim.ids[i] for i in mains]  # front to back
@@ -732,7 +719,7 @@ def run_estimation_bench(
         for _ in range(cfg.steps_per_period):
             mv = step_kinematics(mv, u_mv, cfg.dt)
 
-        reaction = observed_reaction(mv.v, v_before, cfg.reaction_deadband)
+        reaction = observed_reaction(mv.v, v_before)
         new_belief = update_belief(belief, ess, reaction, ctx)
         updated = new_belief != belief
         belief = new_belief

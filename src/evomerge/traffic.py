@@ -135,24 +135,22 @@ def leaders(positions: Sequence[float]) -> list[Optional[int]]:
     return out
 
 
-def check_collision(
-    vids: Sequence[str], lanes: Sequence[Lane], positions: Sequence[float]
-) -> list[tuple[str, str]]:
-    """Same-lane pairs whose bodies overlap, one column entry per vehicle.
+def check_collision(vids: Sequence[str], positions: Sequence[float]) -> list[tuple[str, str]]:
+    """Pairs of one lane's vehicles whose bodies overlap, one entry per vehicle.
 
     Two bodies overlap when their centers are less than one vehicle length
-    apart.  Each pair is ordered by id; pairs come in (lane, position, id)
-    order of their first vehicle, the main lane first.
+    apart.  Each pair is ordered by id; pairs come in (position, id) order of
+    their first vehicle.
     """
     hits: list[tuple[str, str]] = []
     spread = sorted(positions)
     if min(map(sub, spread[1:], spread), default=VEHICLE_LENGTH) >= VEHICLE_LENGTH:
-        return hits  # no two bodies, whatever their lanes, come close enough to touch
-    ordered = sorted(zip([lane is Lane.RAMP for lane in lanes], positions, vids))
-    for i, (lane_a, s_a, vid_a) in enumerate(ordered):
-        for lane_b, s_b, vid_b in ordered[i + 1:]:
-            if lane_b is not lane_a or s_b - s_a >= VEHICLE_LENGTH:
-                break  # later vehicles are in another lane or farther still
+        return hits  # no two bodies come close enough to touch
+    ordered = sorted(zip(positions, vids))
+    for i, (s_a, vid_a) in enumerate(ordered):
+        for s_b, vid_b in ordered[i + 1:]:
+            if s_b - s_a >= VEHICLE_LENGTH:
+                break  # later vehicles are farther still
             hits.append((vid_a, vid_b) if vid_a < vid_b else (vid_b, vid_a))
     return hits
 
@@ -180,22 +178,27 @@ def headway_from_style(omega: float) -> float:
 ACCEL_BASE = 0.6
 ACCEL_SLOPE = 1.6
 
+#: Nominal main-road speed anchoring the desired speeds, m/s.
+FLOW_SPEED = 10.0
+#: Extra desired speed of a fully aggressive style, m/s.
+SPEED_SLACK = 6.0
 
-def desired_speed(omega: float, flow_speed: float, slack: float) -> float:
+
+def desired_speed(omega: float) -> float:
     """Style-linked IDM desired speed.
 
     Neutral and conservative drivers are content with the prevailing flow
-    speed; aggressive drivers want to travel above it, by up to ``slack``
-    m/s at omega = 1.  This keeps an undisturbed platoon from drifting upward
-    en masse while still letting aggressive drivers close gaps actively.
+    speed; aggressive drivers want to travel above it, by up to
+    ``SPEED_SLACK`` m/s at omega = 1.  This keeps an undisturbed platoon from
+    drifting upward en masse while still letting aggressive drivers close
+    gaps actively.
     """
-    return flow_speed + slack * max(0.0, 2.0 * (omega - 0.5))
+    return FLOW_SPEED + SPEED_SLACK * max(0.0, 2.0 * (omega - 0.5))
 
 
 def style_accel_limit(omega: float) -> float:
     return ACCEL_BASE + ACCEL_SLOPE * omega
 
 
-def idm_params_for_style(omega: float, headway: float, flow_speed: float, slack: float) -> IDMParams:
-    return IDMParams(v0=desired_speed(omega, flow_speed, slack), T=headway,
-                     a_max=style_accel_limit(omega))
+def idm_params_for_style(omega: float, headway: float) -> IDMParams:
+    return IDMParams(v0=desired_speed(omega), T=headway, a_max=style_accel_limit(omega))

@@ -47,9 +47,14 @@ def test_minimal_scenario_with_defaults():
 
 def test_every_sim_field_is_a_key():
     cfg = parse_scenario(MINIMAL.replace(
-        "duration = 10.0", "duration = 10.0\nprobe_accel = 0.8\nprobe_periods = 2"))
-    assert cfg.probe_accel == 0.8
-    assert cfg.probe_periods == 2 and isinstance(cfg.probe_periods, int)
+        "duration = 10.0", "duration = 10.0\ndt = 0.05\ndecision_period = 0.5\nheadway_t = 1.5"))
+    assert (cfg.dt, cfg.decision_period, cfg.headway_t) == (0.05, 0.5, 1.5)
+
+
+def test_av_must_start_before_the_ramp_end():
+    assert parse_scenario(MINIMAL.replace("d = 100.0", "d = -60.0")).av.dist_to_merge == -60.0
+    with pytest.raises(ConfigError, match="ramp ends"):
+        parse_scenario(MINIMAL.replace("d = 100.0", "d = -60.5"))
 
 
 def test_comments_and_blank_lines_ignored():
@@ -58,8 +63,12 @@ def test_comments_and_blank_lines_ignored():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_scenario(MINIMAL.replace("duration = 10.0", "duration = 10.0\nspeed_limit = 3"))
+    # Former [sim] keys whose values are now code constants, and the seed,
+    # which only the command line sets, are unknown keys too.
+    for key in ("speed_limit", "flow_speed", "speed_slack", "reaction_deadband",
+                "jerk_limit", "probe_accel", "probe_periods", "seed"):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_scenario(MINIMAL.replace("duration = 10.0", f"duration = 10.0\n{key} = 3"))
 
 
 def test_unknown_section_rejected():
@@ -178,15 +187,14 @@ def test_cli_config_error_exit_code(tmp_path):
     pytest.param("duration = 10.0", "duration = 10.0\nheadway_t = 0", id="zero-headway-t"),
     pytest.param("duration = 10.0", "duration = 10.0\nheadway_t = -1", id="negative-headway-t"),
     pytest.param("duration = 10.0", "duration = 10.0\nheadway_t = nan", id="nan-headway-t"),
+    # One case per removed [sim] key: each now exits 1 as an unknown key.
     pytest.param("duration = 10.0", "duration = 10.0\nflow_speed = 0", id="zero-flow-speed"),
     pytest.param("duration = 10.0", "duration = 10.0\nspeed_slack = -20", id="negative-speed-slack"),
     pytest.param("duration = 10.0", "duration = 10.0\njerk_limit = -1", id="negative-jerk-limit"),
-    pytest.param("duration = 10.0", "duration = 10.0\njerk_limit = nan", id="nan-jerk-limit"),
     pytest.param("duration = 10.0", "duration = 10.0\nreaction_deadband = nan", id="nan-deadband"),
-    pytest.param("duration = 10.0", "duration = 10.0\nreaction_deadband = -1", id="negative-deadband"),
     pytest.param("duration = 10.0", "duration = 10.0\nprobe_accel = nan", id="nan-probe-accel"),
-    pytest.param("duration = 10.0", "duration = 10.0\nprobe_accel = 50", id="probe-beyond-authority"),
     pytest.param("duration = 10.0", "duration = 10.0\nprobe_periods = -1", id="negative-probe-periods"),
+    pytest.param("duration = 10.0", "duration = 10.0\nseed = 5", id="seed-key"),
     pytest.param("d = 100.0", "d = nan", id="nan-av-d"),
     pytest.param("d = 100.0\nv = 10.0", "d = 100.0\nv = inf", id="inf-av-speed"),
     pytest.param("d = 120.0", "d = nan", id="nan-vehicle-d"),

@@ -39,9 +39,10 @@ from evomerge.runner import (
     HEADWAY_RANGE,
     EstimationResult,
     EstimationRound,
+    SimTrace,
     _Sim,
 )
-from evomerge.traffic import MERGE_POINT_S
+from evomerge.traffic import EMERGENCY_DECEL, FREE_ROAD_GAP, MERGE_POINT_S, body_gap, idm_accel
 
 
 def ctx_for(d_av, v_av, d_mv, v_mv, headway=2.0):
@@ -239,12 +240,101 @@ def test_collision_free_sample_runs():
         assert trace.collisions == []
 
 
+def test_ramp_av_level_with_main_road_vehicle_does_not_collide():
+    cfg = SimConfig(
+        vehicles=(VehicleSpec("MV1", 100.0, 10.0, HeadwaySpec("fixed", 2.0)),),
+        av=AvSpec(100.0, 10.0, 0.5),
+        duration=1.0,
+    )
+    trace = run_scenario(cfg)
+    assert trace.s["AV"][1] == trace.s["MV1"][1]  # level after the first step
+    assert trace.collisions == []
+
+
 def test_policies_produce_runs():
     cfg = small_config(seed=2)
     for policy in (Policy.NASH, Policy.STACKELBERG):
         trace = run_scenario(cfg, policy)
         assert trace.policy is policy
         assert sum(len(column) for column in trace.s.values()) == cfg.n_steps * 6
+
+
+# -- car following in the loop -----------------------------------------------
+
+
+def hand_placed_sim():
+    """Three conservative drivers; MV2 is the AV's first opponent, MV1 already passed."""
+    vehicles = tuple(
+        VehicleSpec(vid, d, 10.0, HeadwaySpec("fixed", 2.5))
+        for vid, d in (("MV1", 60.0), ("MV2", 120.0), ("MV3", 150.0))
+    )
+    return _Sim(SimConfig(vehicles=vehicles, av=AvSpec(100.0, 10.0, 0.5)), Policy.EGT)
+
+
+def place(sim, **states):
+    """Set positions and speeds by vehicle id: ``AV=(s, v)``."""
+    for vid, (s, v) in states.items():
+        sim.s[sim.index[vid]], sim.v[sim.index[vid]] = s, v
+
+
+def ramp_lane_change(sim, target):
+    trace = SimTrace(seed=0, policy=Policy.EGT, dt=0.1, duration=10.0)
+    sim.maneuver = Maneuver(ManeuverKind.MERGE_AHEAD, target=target)
+    sim.try_lane_change(0.0, trace)
+    return trace
+
+
+def follow_expected(sim, vid, leader):
+    i, j = sim.index[vid], sim.index[leader]
+    s, v = sim.s, sim.v
+    return idm_accel(sim.idm[i], v[i], body_gap(s[i], s[j]), v[i] - v[j])
+
+
+def test_merged_av_leads_the_driver_behind_it_and_follows_its_front():
+    sim = hand_placed_sim()
+    place(sim, AV=(220.0, 12.0), MV1=(240.0, 10.0), MV2=(200.0, 11.0), MV3=(170.0, 9.0))
+    assert ramp_lane_change(sim, "MV2").lane_change_time == 0.0
+    assert sim.front == sim.index["MV1"]
+    # MV3 cuts in between: the AV keeps following the vehicle it merged behind.
+    place(sim, MV3=(230.0, 9.0))
+    accel = sim.accelerations()
+    assert accel[0] == follow_expected(sim, "AV", "MV1")
+    assert accel[sim.index["MV2"]] == follow_expected(sim, "MV2", "AV")
+    assert accel[sim.index["MV3"]] == follow_expected(sim, "MV3", "MV1")
+
+
+def test_gamed_driver_keeps_a_half_metre_floor_behind_the_ramp_av():
+    sim = hand_placed_sim()
+    assert sim.opponent() == "MV2"
+    # The AV is 3 m ahead on the ramp, so the bodies overlap: the gap is floored.
+    place(sim, AV=(150.0, 11.0), MV1=(400.0, 10.0), MV2=(147.0, 1.0), MV3=(450.0, 10.0))
+    i = sim.index["MV2"]
+    leader = follow_expected(sim, "MV2", "MV1")
+    cap = idm_accel(sim.idm[i], 1.0, 0.5, 1.0 - 11.0)
+    assert cap < leader  # the cap binds
+    assert sim.accelerations()[i] == cap
+
+
+def test_overlap_brakes_at_emergency_decel():
+    sim = hand_placed_sim()
+    # The AV has claimed the tail slot and sits 3 m behind the platoon tail,
+    # and MV1 overlaps its leader MV2.
+    sim.maneuver = Maneuver(ManeuverKind.MERGE_AHEAD, target=None)
+    place(sim, AV=(100.0, 10.0), MV1=(300.0, 10.0), MV2=(303.0, 10.0), MV3=(103.0, 10.0))
+    accel = sim.accelerations()
+    assert accel[0] == -EMERGENCY_DECEL
+    assert accel[sim.index["MV1"]] == -EMERGENCY_DECEL
+    assert accel[sim.index["MV2"]] == idm_accel(sim.idm[sim.index["MV2"]], 10.0, FREE_ROAD_GAP, 0.0)
+
+
+def test_lane_change_only_inside_the_convergence_area():
+    sim = hand_placed_sim()
+    place(sim, AV=(260.5, 10.0), MV1=(400.0, 10.0), MV2=(100.0, 10.0), MV3=(50.0, 10.0))
+    assert ramp_lane_change(sim, "MV2").lane_change_time is None
+    assert sim.view(0).lane is Lane.RAMP
+    place(sim, AV=(260.0, 10.0))
+    assert ramp_lane_change(sim, "MV2").lane_change_time == 0.0
+    assert sim.view(0).lane is Lane.MAIN
 
 
 # -- estimation bench --------------------------------------------------------
@@ -332,7 +422,7 @@ def reference_bench(cfg, true_omega, seed):
         for _ in range(cfg.steps_per_period):
             av = step_kinematics(av, u_av, cfg.dt)
             mv = step_kinematics(mv, u_mv, cfg.dt)
-        reaction = observed_reaction(mv.v, v_before, cfg.reaction_deadband)
+        reaction = observed_reaction(mv.v, v_before)
         new_belief = update_belief(belief, report.ess, reaction, ctx)
         updated = new_belief != belief
         belief = new_belief

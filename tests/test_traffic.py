@@ -24,8 +24,8 @@ from evomerge.traffic import (
 )
 
 
-def veh(vid, s, v, lane=Lane.MAIN):
-    return VehicleState(vid=vid, lane=lane, s=s, v=v)
+def veh(vid, s, v):
+    return VehicleState(vid=vid, lane=Lane.MAIN, s=s, v=v)
 
 
 def test_step_constant_velocity():
@@ -118,32 +118,23 @@ def test_idm_monotone_in_gap(v, g1, g2, dv):
     assert idm_accel(DEFAULT, v, hi, dv) >= idm_accel(DEFAULT, v, lo, dv)
 
 
-def collisions(*states):
-    return check_collision([st.vid for st in states], [st.lane for st in states], [st.s for st in states])
-
-
 def test_collision_same_lane_overlap():
-    hits = collisions(veh("a", 100.0, 10.0), veh("b", 104.0, 10.0))
+    hits = check_collision(["a", "b"], [100.0, 104.0])
     assert hits == [("a", "b")]
 
 
-def test_collision_different_lanes_ignored():
-    hits = collisions(veh("a", 100.0, 10.0), veh("b", 104.0, 10.0, lane=Lane.RAMP))
-    assert hits == []
-
-
 def test_collision_clear_gap():
-    hits = collisions(veh("a", 100.0, 10.0), veh("b", 105.1, 10.0))
+    hits = check_collision(["a", "b"], [100.0, 105.1])
     assert hits == []
 
 
-def all_pairs_overlaps(vids, lanes, positions):
-    """Every same-lane pair closer than one vehicle length, ranked by (lane, position, id)."""
-    order = sorted(range(len(vids)), key=lambda i: (lanes[i].value, positions[i], vids[i]))
+def all_pairs_overlaps(vids, positions):
+    """Every pair closer than one vehicle length, ranked by (position, id)."""
+    order = sorted(range(len(vids)), key=lambda i: (positions[i], vids[i]))
     hits = []
     for x, i in enumerate(order):
         for j in order[x + 1:]:
-            if lanes[i] is lanes[j] and abs(positions[i] - positions[j]) < VEHICLE_LENGTH:
+            if abs(positions[i] - positions[j]) < VEHICLE_LENGTH:
                 hits.append(tuple(sorted((vids[i], vids[j]))))
     return hits
 
@@ -153,16 +144,11 @@ POSITIONS = st.sampled_from([0.0, 2.5, 4.0, 5.0, 9.5, 12.0]) | st.floats(-20.0, 
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.tuples(st.sampled_from(list(Lane)), POSITIONS), max_size=9),
-    st.randoms(use_true_random=False),
-)
-def test_collision_check_matches_all_pairs(vehicles, rnd):
-    vids = [f"v{k}" for k in range(len(vehicles))]
+@given(st.lists(POSITIONS, max_size=9), st.randoms(use_true_random=False))
+def test_collision_check_matches_all_pairs(positions, rnd):
+    vids = [f"v{k}" for k in range(len(positions))]
     rnd.shuffle(vids)  # id order independent of list order
-    lanes = [lane for lane, _ in vehicles]
-    positions = [s for _, s in vehicles]
-    assert check_collision(vids, lanes, positions) == all_pairs_overlaps(vids, lanes, positions)
+    assert check_collision(vids, positions) == all_pairs_overlaps(vids, positions)
 
 
 def nearest_ahead(positions, s):
@@ -192,9 +178,9 @@ def test_style_headway_link_round_trip():
 
 
 def test_desired_speed_link():
-    assert desired_speed(0.3, 10.0, 6.0) == 10.0
-    assert desired_speed(0.5, 10.0, 6.0) == 10.0
-    assert desired_speed(0.75, 10.0, 6.0) == pytest.approx(13.0)
+    assert desired_speed(0.3) == 10.0
+    assert desired_speed(0.5) == 10.0
+    assert desired_speed(0.75) == pytest.approx(13.0)
 
 
 def test_style_accel_limit_increases_with_aggression():
