@@ -187,12 +187,15 @@ def test_cli_config_error_exit_code(tmp_path):
     pytest.param("duration = 10.0", "duration = 10.0\nheadway_t = 0", id="zero-headway-t"),
     pytest.param("duration = 10.0", "duration = 10.0\nheadway_t = -1", id="negative-headway-t"),
     pytest.param("duration = 10.0", "duration = 10.0\nheadway_t = nan", id="nan-headway-t"),
-    # One case per removed [sim] key: each now exits 1 as an unknown key.
+    # Keys whose values are now code constants: each exits 1 as an unknown key.
     pytest.param("duration = 10.0", "duration = 10.0\nflow_speed = 0", id="zero-flow-speed"),
     pytest.param("duration = 10.0", "duration = 10.0\nspeed_slack = -20", id="negative-speed-slack"),
     pytest.param("duration = 10.0", "duration = 10.0\njerk_limit = -1", id="negative-jerk-limit"),
+    pytest.param("duration = 10.0", "duration = 10.0\njerk_limit = nan", id="nan-jerk-limit"),
     pytest.param("duration = 10.0", "duration = 10.0\nreaction_deadband = nan", id="nan-deadband"),
+    pytest.param("duration = 10.0", "duration = 10.0\nreaction_deadband = -1", id="negative-deadband"),
     pytest.param("duration = 10.0", "duration = 10.0\nprobe_accel = nan", id="nan-probe-accel"),
+    pytest.param("duration = 10.0", "duration = 10.0\nprobe_accel = 50", id="probe-beyond-authority"),
     pytest.param("duration = 10.0", "duration = 10.0\nprobe_periods = -1", id="negative-probe-periods"),
     pytest.param("duration = 10.0", "duration = 10.0\nseed = 5", id="seed-key"),
     pytest.param("d = 100.0", "d = nan", id="nan-av-d"),
