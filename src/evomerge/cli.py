@@ -77,6 +77,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    for flag, count in (("--runs", args.runs), ("--jobs", args.jobs)):
+        if count < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {count}")
     cfg = load_scenario(args.scenario)
     policy = Policy(args.policy)
     summary = run_batch(cfg, n=args.runs, base_seed=args.base_seed,

@@ -74,20 +74,20 @@ PURE_POINTS: tuple[StrategyState, ...] = (
 )
 
 
-def _gaps(m: PayoffMatrix, p, q):
-    """(E_AV1 - E_AV2, E_MV1 - E_MV2) at (p, q), on floats or arrays.
+def _gaps(u11, u12, u21, u22, v11, v12, v21, v22, p, q):
+    """(E_AV1 - E_AV2, E_MV1 - E_MV2) at (p, q) from the eight payoff entries, on floats or arrays.
 
     Each player's fitness advantage of yielding over going; the replicator
     field and the deviation gains are both read off these two gaps.
     """
     return (
-        q * (m.u11 - m.u21) + (1.0 - q) * (m.u12 - m.u22),
-        p * (m.v11 - m.v12) + (1.0 - p) * (m.v21 - m.v22),
+        q * (u11 - u21) + (1.0 - q) * (u12 - u22),
+        p * (v11 - v12) + (1.0 - p) * (v21 - v22),
     )
 
 
 def _field(m: PayoffMatrix, p, q):
-    gap_av, gap_mv = _gaps(m, p, q)
+    gap_av, gap_mv = _gaps(m.u11, m.u12, m.u21, m.u22, m.v11, m.v12, m.v21, m.v22, p, q)
     return p * (1.0 - p) * gap_av, q * (1.0 - q) * gap_mv
 
 
@@ -121,10 +121,20 @@ def deviation_gains(m: PayoffMatrix) -> tuple[tuple[float, float], ...]:
     point is a Nash profile when neither gain is positive, and an ESS
     (asymptotically stable rest point) when both are strictly negative.
     """
+    return _gains(m.u11, m.u12, m.u21, m.u22, m.v11, m.v12, m.v21, m.v22)
+
+
+def _gains(u11, u12, u21, u22, v11, v12, v21, v22) -> tuple[tuple[float, float], ...]:
+    """The :func:`deviation_gains` table from the eight payoff entries, on plain floats.
+
+    Callers that hold the entries without a :class:`PayoffMatrix` (the
+    per-style evaluation of a cached cell table) skip building one.
+    """
     gains = []
     for point in PURE_POINTS:
-        gap_av, gap_mv = _gaps(m, point.p, point.q)
-        gains.append(((1.0 - 2.0 * point.p) * gap_av, (1.0 - 2.0 * point.q) * gap_mv))
+        p, q = point.p, point.q
+        gap_av, gap_mv = _gaps(u11, u12, u21, u22, v11, v12, v21, v22, p, q)
+        gains.append(((1.0 - 2.0 * p) * gap_av, (1.0 - 2.0 * q) * gap_mv))
     return tuple(gains)
 
 

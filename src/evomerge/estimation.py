@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .egt import EIGENVALUE_ZERO_TOL, StrategyState, deviation_gains, solve_ess
+from .egt import EIGENVALUE_ZERO_TOL, StrategyState, _operative_ess
+from .egt import solve_ess  # noqa: F401  (perfbench's trace_targets name estimation.solve_ess)
 from .payoff import CellTable, GameContext
 
 #: Style-weight breakpoints closer than this to each other, to the estimate
@@ -99,7 +100,8 @@ def ess_stability_interval(ctx: GameContext, ess: StrategyState) -> StabilityInt
     omega_hat = ctx.mv_omega
 
     def holds(omega: float) -> bool:
-        return solve_ess(table.matrix_at(omega)).ess == ess
+        # The ess solve_ess would report, read off the gain table alone.
+        return _operative_ess(table.gains_at(omega)) == ess
 
     if not holds(omega_hat):
         return StabilityInterval(omega_hat, omega_hat, stale=True)
@@ -115,16 +117,15 @@ def _breakpoints(table: CellTable) -> list[float]:
 
     The AV eigenvalue at each pure point does not depend on the MV style
     weight and the MV eigenvalue is affine in it, so each of the eight
-    deviation gains is a line read off the matrices at 0 and 1.  Stability
+    deviation gains is a line read off the gain tables at 0 and 1.  Stability
     flips where a line crosses -EIGENVALUE_ZERO_TOL.  Between two stable
     points the solver keeps the earlier one in PURE_POINTS (the smaller
     (p, q)) until its slowest eigenvalue exceeds the later one's by more than
     EIGENVALUE_ZERO_TOL, so the pick can change only where a line of an
     earlier point lies EIGENVALUE_ZERO_TOL above a line of a later point.
     """
-    m0, m1 = table.matrix_at(0.0), table.matrix_at(1.0)
     points = []  # per pure point, its two gains as (intercept, slope)
-    for at0, at1 in zip(deviation_gains(m0), deviation_gains(m1)):
+    for at0, at1 in zip(table.gains_at(0.0), table.gains_at(1.0)):
         points.append([(a, b - a) for a, b in zip(at0, at1)])
     roots = []
     for k, lines in enumerate(points):

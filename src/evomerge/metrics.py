@@ -10,7 +10,6 @@ execution interleaving.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -145,8 +144,13 @@ def run_batch(
     """Run seeds base_seed..base_seed+n-1 and aggregate in seed order."""
     if n < 1:
         raise ValueError("batch needs at least one run")
+    if jobs < 1:
+        raise ValueError(f"batch needs at least one job, got {jobs}")
     tasks = [(cfg, base_seed + i, policy) for i in range(n)]
     if jobs > 1:
+        # Imported here: it pulls in multiprocessing, which no serial run needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             raw = list(pool.map(_one_run, tasks))
     else:

@@ -18,10 +18,11 @@ higher value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .egt import PayoffMatrix
+from .egt import PayoffMatrix, _gains
 
 # Floor for the go-branch arrival time.  The raw expression d/v - T can reach
 # zero or below when the opponent is nearly at the merge point; the floor
@@ -86,17 +87,22 @@ class GameContext:
 
 
 def target_arrival_time(ctx: GameContext, role: Role, yields: bool) -> float:
-    """Arrival time, seconds, implied by one player's decision.
+    """Arrival time, seconds, implied by one player's decision in a game context."""
+    opp = ctx.mv if role is Role.AV else ctx.av
+    return arrival_time(opp.dist_to_merge, opp.speed, ctx.headway_t, yields)
+
+
+def arrival_time(opp_dist: float, opp_speed: float, headway_t: float, yields: bool) -> float:
+    """Arrival time, seconds, implied by a decision against an opponent at ``opp_dist``, ``opp_speed``.
 
     The schedule is anchored on the opponent's free-flight arrival d/v:
     yielding targets T seconds after it, going targets T seconds before it.
     A go-branch result below the floor is clamped to it.
     """
-    opp = ctx.mv if role is Role.AV else ctx.av
-    base = opp.dist_to_merge / opp.speed
+    base = opp_dist / opp_speed
     if yields:
-        return base + ctx.headway_t
-    return max(base - ctx.headway_t, ARRIVAL_TIME_FLOOR)
+        return base + headway_t
+    return max(base - headway_t, ARRIVAL_TIME_FLOOR)
 
 
 def required_avg_accel(d: float, v: float, t: float) -> float:
@@ -174,35 +180,49 @@ class CellTable:
 
     Arrival times, accelerations and the safety term do not depend on either
     style weight, so a sweep over the MV's omega only re-weights fixed
-    numbers.  ``matrix_at(omega)`` accepts the closed interval [0, 1]; the
-    open-interval constraint applies to configured styles, not to scan
-    points.
+    numbers.  ``matrix_at(omega)`` and ``gains_at(omega)`` accept the closed
+    interval [0, 1]; the open-interval constraint applies to configured
+    styles, not to scan points.  The terms are checked once, on
+    construction, so that every matrix and gain table the table yields is
+    finite.
     """
 
     __slots__ = ("_av_fitness", "_mv_terms")
 
     def __init__(self, ctx: GameContext) -> None:
-        # Each player has two schedules; the four cells only pair them up.
-        av = {move: _schedule(ctx, Role.AV, move is AvMove.YIELD) for move in AvMove}
-        mv = {move: _schedule(ctx, Role.MV, move is MvMove.YIELD) for move in MvMove}
+        # Each player has two schedules; the four cells, in _PAIRS order, only pair them up.
+        av_yield, av_go = _schedule(ctx, Role.AV, True), _schedule(ctx, Role.AV, False)
+        mv_yield, mv_go = _schedule(ctx, Role.MV, True), _schedule(ctx, Role.MV, False)
+        schedules = ((av_yield, mv_yield), (av_yield, mv_go), (av_go, mv_yield), (av_go, mv_go))
         omega_av = ctx.av_omega
         av_fitness = []
         mv_terms = []
-        for pair in _PAIRS:
-            t_av, a_av = av[pair.av_move]
-            t_mv, a_mv = mv[pair.mv_move]
+        for pair, ((t_av, a_av), (t_mv, a_mv)) in zip(_PAIRS, schedules):
             safety = _safety(pair, a_av, a_mv)
-            av_fitness.append(-_cost(omega_av, t_av, a_av, safety))
+            fitness = -_cost(omega_av, t_av, a_av, safety)
+            # The MV cost at omega adds omega * t, (1 - omega) * a * a and the
+            # safety term, each nonnegative and at most its part of this sum,
+            # so the sum bounds the cost at every omega in [0, 1].
+            if not (math.isfinite(fitness) and math.isfinite(t_mv + a_mv * a_mv + safety)):
+                raise ValueError(f"payoff of cell {pair.av_move.value}/{pair.mv_move.value} is not finite")
+            av_fitness.append(fitness)
             mv_terms.append((t_mv, a_mv, safety))
         self._av_fitness = tuple(av_fitness)
         self._mv_terms = tuple(mv_terms)
 
-    def matrix_at(self, omega_mv: float) -> PayoffMatrix:
+    def _mv_fitness(self, omega_mv: float) -> list[float]:
         if not 0.0 <= omega_mv <= 1.0:
             raise ValueError(f"scan omega outside [0, 1]: {omega_mv}")
+        return [-_cost(omega_mv, t, a, safety) for t, a, safety in self._mv_terms]
+
+    def matrix_at(self, omega_mv: float) -> PayoffMatrix:
         u = self._av_fitness
-        v = [-_cost(omega_mv, t, a, safety) for t, a, safety in self._mv_terms]
+        v = self._mv_fitness(omega_mv)
         return PayoffMatrix(
             u11=u[0], u12=u[1], u21=u[2], u22=u[3],
             v11=v[0], v12=v[1], v21=v[2], v22=v[3],
         )
+
+    def gains_at(self, omega_mv: float) -> tuple[tuple[float, float], ...]:
+        """``deviation_gains(self.matrix_at(omega_mv))``, without building the matrix."""
+        return _gains(*self._av_fitness, *self._mv_fitness(omega_mv))

@@ -23,16 +23,15 @@ from typing import Optional
 import numpy as np
 
 from .baselines import Policy, merge_profile, select_nash, stackelberg
-from .egt import EquilibriumReport, StrategyState, _operative_ess, deviation_gains, solve_ess
+from .egt import EquilibriumReport, StrategyState, _operative_ess, solve_ess
 from .estimation import StyleBelief, observed_reaction, update_belief
 from .payoff import (
     AgentView,
     CellTable,
     GameContext,
-    Role,
+    arrival_time,
     build_matrix,
     required_avg_accel,
-    target_arrival_time,
 )
 from .traffic import (
     CONVERGENCE_AREA,
@@ -50,7 +49,7 @@ from .traffic import (
     idm_params_for_style,
     leaders,
     projected_arrival,
-    step_kinematics,
+    step_kinematics,  # noqa: F401  (perfbench's trace_targets name runner.step_kinematics)
     style_from_headway,
 )
 
@@ -118,9 +117,20 @@ def merge_control(ctx: GameContext, maneuver: Maneuver) -> float:
     projected arrival, yielding one margin after it; the go-branch time is
     floored and the command clamped to the control authority.
     """
-    t = target_arrival_time(ctx, Role.AV, yields=maneuver.kind is ManeuverKind.YIELD_SHIFT)
-    u = required_avg_accel(ctx.av.dist_to_merge, ctx.av.speed, t)
+    return _tracking_accel(ctx.av.dist_to_merge, ctx.av.speed, ctx.mv.dist_to_merge, ctx.mv.speed,
+                           ctx.headway_t, yields=maneuver.kind is ManeuverKind.YIELD_SHIFT)
+
+
+def _tracking_accel(d_av: float, v_av: float, d_opp: float, v_opp: float,
+                    headway_t: float, yields: bool) -> float:
+    """The :func:`merge_control` command from the two players' game views, on plain floats."""
+    u = required_avg_accel(d_av, v_av, arrival_time(d_opp, v_opp, headway_t, yields))
     return min(max(u, CONTROL_MIN), CONTROL_MAX)
+
+
+def _game_terms(s: float, v: float) -> tuple[float, float]:
+    """Distance to the merge point and speed as a game sees them: past the point reads 0, a stop 0.1 m/s."""
+    return max(MERGE_POINT_S - s, 0.0), max(v, 0.1)
 
 
 def execute_lane_change(
@@ -392,7 +402,7 @@ class _Sim:
         return None
 
     def game_view(self, i: int) -> AgentView:
-        return AgentView(dist_to_merge=max(MERGE_POINT_S - self.s[i], 0.0), speed=max(self.v[i], 0.1))
+        return AgentView(*_game_terms(self.s[i], self.v[i]))
 
     def context_for(self, opponent: str, omega_hat: float) -> GameContext:
         return GameContext(
@@ -517,11 +527,9 @@ class _Sim:
             tail = min(range(1, len(self.ids)), key=self.s.__getitem__)
             if self.s[0] < self.s[tail]:
                 return self.follow(0, tail)
-            tail_id = self.ids[tail]
-            ctx = self.context_for(tail_id, self.beliefs[tail_id].omega_hat)
-            return merge_control(ctx, Maneuver(ManeuverKind.YIELD_SHIFT, target=tail_id))
-        ctx = self.context_for(self.maneuver.target, self.beliefs[self.maneuver.target].omega_hat)
-        u = merge_control(ctx, self.maneuver)
+            return self.track(tail, yields=True)
+        u = self.track(self.index[self.maneuver.target],
+                       yields=self.maneuver.kind is ManeuverKind.YIELD_SHIFT)
         if (self.maneuver.kind is ManeuverKind.MERGE_AHEAD
                 and self.next_opponent == self.first_opponent
                 and self.periods <= PROBE_PERIODS):
@@ -532,6 +540,12 @@ class _Sim:
             # platoon vehicles is too tight to accelerate into blindly.
             u = max(u, PROBE_ACCEL)
         return u
+
+    def track(self, opponent: int, yields: bool) -> float:
+        """The :func:`merge_control` command against vehicle ``opponent``, without a game context."""
+        s, v = self.s, self.v
+        return _tracking_accel(*_game_terms(s[0], v[0]), *_game_terms(s[opponent], v[opponent]),
+                               self.cfg.headway_t, yields)
 
     def slewed(self, i: int, target: float) -> float:
         prev = self.prev_accel[i]
@@ -676,7 +690,8 @@ def run_estimation_bench(
     opp = sim.opponent()
     if opp is None:
         raise ValueError("estimation bench needs an opponent behind the merging vehicle")
-    av, mv = sim.view(0), sim.view(sim.index[opp])
+    i = sim.index[opp]
+    av, mv = sim.view(0), sim.view(i)
     offset = mv.dist_to_merge - av.dist_to_merge
     if offset <= 0.0:
         raise ValueError("the bench opponent must be behind the merging vehicle")
@@ -691,16 +706,15 @@ def run_estimation_bench(
     schedule += list(reversed(schedule[:-1]))
     for k, tau in enumerate(schedule):
         t = k * cfg.decision_period
-        av = VehicleState(vid=AV_ID, lane=Lane.RAMP, s=MERGE_POINT_S - tau * v_av, v=v_av)
-        mv = VehicleState(vid=opp, lane=Lane.MAIN, s=av.s - offset, v=v_mv)
-        sim.place(av)
-        sim.place(mv)
+        s_av = MERGE_POINT_S - tau * v_av
+        s_mv = s_av - offset
+        sim.s[0], sim.s[i] = s_av, s_mv
 
         # One kinematic context serves both games: the prediction at the
         # belief midpoint and the driver's own at its true style.
         ctx = sim.context_for(opp, belief.omega_hat)
         table = CellTable(ctx)
-        ess = _operative_ess(deviation_gains(table.matrix_at(ctx.mv_omega)))
+        ess = _operative_ess(table.gains_at(ctx.mv_omega))
         if ess is None:
             rounds.append(EstimationRound(
                 t=t, k_l=belief.k_l, k_u=belief.k_u,
@@ -708,18 +722,18 @@ def run_estimation_bench(
             ))
             continue
 
-        truth = _operative_ess(deviation_gains(table.matrix_at(_game_style(true_omega))))
+        truth = _operative_ess(table.gains_at(_game_style(true_omega)))
         if truth is not None and truth.q == 0.0:
             u_mv = BENCH_PUSH_ACCEL
         elif truth is not None and truth.q == 1.0:
             u_mv = BENCH_YIELD_DECEL
         else:
             u_mv = 0.0
-        v_before = mv.v
+        v_now = v_mv
         for _ in range(cfg.steps_per_period):
-            mv = step_kinematics(mv, u_mv, cfg.dt)
+            s_mv, v_now = advance(s_mv, v_now, u_mv, cfg.dt)
 
-        reaction = observed_reaction(mv.v, v_before)
+        reaction = observed_reaction(v_now, v_mv)
         new_belief = update_belief(belief, ess, reaction, ctx)
         updated = new_belief != belief
         belief = new_belief

@@ -160,6 +160,17 @@ def test_cli_batch_deterministic_files(tmp_path):
     assert (out1 / "batch_nash.txt").read_bytes() == (out2 / "batch_nash.txt").read_bytes()
 
 
+@pytest.mark.parametrize("flag, count", [("--runs", "0"), ("--jobs", "0"), ("--jobs", "-3")])
+def test_cli_batch_rejects_counts_below_one(tmp_path, capsys, flag, count):
+    args = {"--runs": "2", "--jobs": "1", flag: count}
+    out = tmp_path / "o"
+    code = main(["batch", "--scenario", str(SCENARIOS / "scenario1.cfg"), "--out", str(out),
+                 *(item for pair in args.items() for item in pair)])
+    assert code == 1
+    assert f"config error: {flag} must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_estimate_runs(capsys):
     code = main([
         "estimate", "--scenario", str(SCENARIOS / "estimation.cfg"),

@@ -137,6 +137,12 @@ def test_batch_requires_at_least_one_run():
         run_batch(scenario_config(), n=0, base_seed=0)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_batch_requires_at_least_one_job(jobs):
+    with pytest.raises(ValueError):
+        run_batch(scenario_config(), n=1, base_seed=0, jobs=jobs)
+
+
 def test_batch_records_failed_runs_without_crashing(monkeypatch):
     import evomerge.metrics as metrics_mod
 

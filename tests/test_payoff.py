@@ -9,12 +9,17 @@ from evomerge import (
     MvMove,
     Role,
     StrategyPair,
+    StrategyState,
     build_matrix,
     cell_costs,
     conflict_weight,
+    deviation_gains,
+    ess_stability_interval,
     required_avg_accel,
+    solve_ess,
     target_arrival_time,
 )
+from evomerge.egt import _operative_ess
 from evomerge.payoff import ARRIVAL_TIME_FLOOR, CellTable
 
 from conftest import WORKED, assert_close, oracle_cell
@@ -231,3 +236,41 @@ def test_cell_table_matches_build_matrix(d_av, v_av, d_mv, v_mv, T, w_av, w_mv):
     cells = [cell_costs(ctx, pair) for pair in (YY, YA, MY, MA)]
     assert (m.u11, m.u12, m.u21, m.u22) == tuple(-c.j_av for c in cells)
     assert (m.v11, m.v12, m.v21, m.v22) == tuple(-c.j_mv for c in cells)
+
+
+scan_omegas = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dists, speeds, dists, speeds, margins, weights, weights, scan_omegas)
+@example(10.0, 10.0, 10.0, 5.0, 1.5, 0.5, 0.5, 0.0)  # both go branches at ARRIVAL_TIME_FLOOR
+@example(80.0, 10.0, 100.0, 10.0, 2.0, 0.3, 0.7, 1.0)  # zero-acceleration cell
+def test_gains_at_matches_the_matrix_path(d_av, v_av, d_mv, v_mv, T, w_av, w_mv, omega):
+    table = CellTable(ctx_for(d_av, v_av, d_mv, v_mv, T, w_av, w_mv))
+    m = table.matrix_at(omega)
+    gains = table.gains_at(omega)
+    # repr tells -0.0 from 0.0, which == does not: the two paths agree bit for bit.
+    assert repr(gains) == repr(deviation_gains(m))
+    assert _operative_ess(gains) == solve_ess(m).ess
+
+
+@pytest.mark.parametrize("d_av, v_av, d_mv, v_mv", [
+    pytest.param(1e300, 1.0, 100.0, 10.0, id="av-accel-squared"),
+    pytest.param(100.0, 10.0, 1e300, 1.0, id="mv-accel-squared"),
+])
+def test_overflowing_costs_are_rejected(d_av, v_av, d_mv, v_mv):
+    ctx = ctx_for(d_av, v_av, d_mv, v_mv)
+    with pytest.raises(ValueError):
+        build_matrix(ctx)
+    with pytest.raises(ValueError):
+        ess_stability_interval(ctx, StrategyState(0.0, 1.0))
+    with pytest.raises(ValueError):
+        CellTable(ctx)
+
+
+def test_cell_table_rejects_costs_that_overflow_only_at_other_styles():
+    # At omega = 1 - 1e-9 the MV's comfort term (1e-9 a) a stays finite, but
+    # a * a overflows, so the table's scan at omega = 0 would not be finite.
+    ctx = ctx_for(100.0, 10.0, 7.2e157, 1.0, w_mv=1.0 - 1e-9)
+    with pytest.raises(ValueError, match="not finite"):
+        CellTable(ctx)

@@ -37,6 +37,8 @@ from evomerge.runner import (
     BENCH_TAU_STEP,
     BENCH_YIELD_DECEL,
     HEADWAY_RANGE,
+    PROBE_ACCEL,
+    PROBE_PERIODS,
     EstimationResult,
     EstimationRound,
     SimTrace,
@@ -325,6 +327,35 @@ def test_overlap_brakes_at_emergency_decel():
     assert accel[0] == -EMERGENCY_DECEL
     assert accel[sim.index["MV1"]] == -EMERGENCY_DECEL
     assert accel[sim.index["MV2"]] == idm_accel(sim.idm[sim.index["MV2"]], 10.0, FREE_ROAD_GAP, 0.0)
+
+
+AV_LAW_PLACEMENTS = [
+    pytest.param(dict(AV=(100.0, 10.0), MV2=(80.0, 10.0), MV3=(50.0, 10.0)), id="on-schedule"),
+    pytest.param(dict(AV=(185.0, 14.0), MV2=(150.0, 7.0), MV3=(30.0, 3.0)), id="near-merge"),
+    pytest.param(dict(AV=(205.0, 0.0), MV2=(196.0, 0.0), MV3=(120.0, 12.0)), id="past-merge-stopped"),
+]
+
+
+@pytest.mark.parametrize("placement", AV_LAW_PLACEMENTS)
+@pytest.mark.parametrize("branch", ["merge-ahead", "yield", "probe", "tail-claim"])
+def test_av_law_matches_merge_control_on_its_game_context(placement, branch):
+    sim = hand_placed_sim()
+    place(sim, **placement)
+    omega_hat = sim.beliefs["MV2"].omega_hat
+    if branch == "tail-claim":
+        # Tail slot claimed with the AV level with or ahead of the platoon tail MV3.
+        sim.maneuver = Maneuver(ManeuverKind.MERGE_AHEAD, target=None)
+        tracked = Maneuver(ManeuverKind.YIELD_SHIFT, target="MV3")
+        omega_hat = sim.beliefs["MV3"].omega_hat
+    else:
+        kind = ManeuverKind.YIELD_SHIFT if branch == "yield" else ManeuverKind.MERGE_AHEAD
+        sim.maneuver = tracked = Maneuver(kind, target="MV2")
+    # MV2 is the first opponent; the probe lasts its first PROBE_PERIODS periods.
+    sim.periods = 1 if branch == "probe" else PROBE_PERIODS + 1
+    expected = merge_control(sim.context_for(tracked.target, omega_hat), tracked)
+    if branch == "probe":
+        expected = max(expected, PROBE_ACCEL)
+    assert sim.av_accel() == expected
 
 
 def test_lane_change_only_inside_the_convergence_area():
