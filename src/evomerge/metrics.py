@@ -151,7 +151,7 @@ def run_batch(
         # Imported here: it pulls in multiprocessing, which no serial run needs.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:  # a pool starts all its workers at once
             raw = list(pool.map(_one_run, tasks))
     else:
         raw = [_one_run(task) for task in tasks]

@@ -203,6 +203,9 @@ class VehicleSpec:
     headway: HeadwaySpec
 
     def __post_init__(self) -> None:
+        # The trace CSV separates fields by ',', final_order ids by '>', and wraps ids in '[...]'.
+        if not self.vid or any(c in ",>[]" or c.isspace() for c in self.vid):
+            raise ValueError(f"vehicle id {self.vid!r} must be non-empty, without ',', '>', '[', ']' or whitespace")
         _check_finite(f"vehicle {self.vid}: distance to merge", self.dist_to_merge)
         _check(f"vehicle {self.vid}: speed", self.speed, positive=False)
 
@@ -371,6 +374,7 @@ class _Sim:
         self.maneuver = Maneuver(ManeuverKind.YIELD_SHIFT, target=None)
         self.front: Optional[int] = None  # index of the AV's leader once merged
         self.prev_accel: list[Optional[float]] = [None] * len(self.ids)
+        self.jerk_span = JERK_LIMIT * cfg.dt  # most slew of a command in one step, m/s^2
         self.periods = 0  # decision periods played
 
         # Opponent progression: fixed arrival order at t=0, advanced on yields.
@@ -492,41 +496,58 @@ class _Sim:
     # -- per-step controls -------------------------------------------------
 
     def accelerations(self) -> list[float]:
-        """This step's commands, by vehicle index."""
-        s, v = self.s, self.v
-        accel = [self.av_accel()]
-        # Each main-road vehicle follows its leader on the main lane, the AV
-        # included once merged.  Before that the AV is a virtual leader: it
-        # constrains the driver it is actively gaming while it is ahead.
-        first = 0 if self.merged else 1  # index of the first main-lane vehicle
+        """This step's commands, by vehicle index, in one pass over the columns.
+
+        Each main-road vehicle follows its leader on the main lane (IDM, free
+        road without one, full braking on overlap), the AV included once
+        merged.  Before that the AV caps the driver it games while ahead of
+        it.  Main-road commands then pass the comfort slew.
+        """
+        s, v, idm, prev = self.s, self.v, self.idm, self.prev_accel
         opp = None if self.merged else self.opponent()
         game = None if opp is None else self.index[opp]
-        for i, ahead in enumerate(leaders(s[first:])[1 - first:], start=1):
-            a = self.follow(i, None if ahead is None else ahead + first)
-            if i == game and s[0] > s[i]:
-                gap = max(body_gap(s[i], s[0]), 0.5)
-                a = min(a, idm_accel(self.idm[i], v[i], gap, v[i] - v[0]))
-            accel.append(self.slewed(i, a))
+        if self.merged:
+            lead = leaders(s)
+            lead[0] = self.front
+            accel = []
+        else:
+            lead = leaders([-math.inf, *s[1:]])  # the ramp AV leads no one; its leader is the tail
+            if self.maneuver.target is None and s[0] < s[lead[0]]:
+                accel = []  # tail slot claimed: the AV follows the tail
+            else:
+                accel = [self.av_accel()]
+        span = self.jerk_span
+        for i in range(len(accel), len(s)):
+            j, w = lead[i], v[i]
+            if j is None:
+                a = idm_accel(idm[i], w, FREE_ROAD_GAP, 0.0)
+            else:
+                gap = body_gap(s[i], s[j])
+                a = -EMERGENCY_DECEL if gap <= 0.0 else idm_accel(idm[i], w, gap, w - v[j])
+            if i:  # the AV, when it follows here, is neither capped nor slewed
+                if i == game and s[0] > s[i]:
+                    cap = idm_accel(idm[i], w, max(body_gap(s[i], s[0]), 0.5), w - v[0])
+                    if cap < a:
+                        a = cap
+                last = prev[i]
+                if last is not None:
+                    # min(max(a, last - span), last + span) as comparisons,
+                    # except that an emergency target applies at once.
+                    target = a
+                    if last - span > a:
+                        a = last - span
+                    if last + span < a:
+                        a = last + span
+                    if target <= EMERGENCY_TARGET and target < a:
+                        a = target
+                prev[i] = a
+            accel.append(a)
         return accel
 
-    def follow(self, i: int, leader: Optional[int]) -> float:
-        """IDM command of vehicle i behind ``leader`` (free road when None); full braking on overlap."""
-        s, v = self.s, self.v
-        if leader is None:
-            return idm_accel(self.idm[i], v[i], FREE_ROAD_GAP, 0.0)
-        gap = body_gap(s[i], s[leader])
-        if gap <= 0.0:
-            return -EMERGENCY_DECEL
-        return idm_accel(self.idm[i], v[i], gap, v[i] - v[leader])
-
     def av_accel(self) -> float:
-        if self.merged:
-            return self.follow(0, self.front)
+        """The ramp AV's tracking command: its maneuver target's, or the claimed tail's."""
         if self.maneuver.target is None:
-            # Tail slot claimed, the only maneuver without a target: settle behind the platoon.
             tail = min(range(1, len(self.ids)), key=self.s.__getitem__)
-            if self.s[0] < self.s[tail]:
-                return self.follow(0, tail)
             return self.track(tail, yields=True)
         u = self.track(self.index[self.maneuver.target],
                        yields=self.maneuver.kind is ManeuverKind.YIELD_SHIFT)
@@ -547,24 +568,6 @@ class _Sim:
         return _tracking_accel(*_game_terms(s[0], v[0]), *_game_terms(s[opponent], v[opponent]),
                                self.cfg.headway_t, yields)
 
-    def slewed(self, i: int, target: float) -> float:
-        prev = self.prev_accel[i]
-        if prev is None:
-            self.prev_accel[i] = target
-            return target
-        span = JERK_LIMIT * self.cfg.dt
-        a = min(max(target, prev - span), prev + span)
-        if target <= EMERGENCY_TARGET and target < a:
-            a = target
-        self.prev_accel[i] = a
-        return a
-
-    def step(self, accel: list[float]) -> None:
-        """Advance every vehicle by one kinematic step in place."""
-        s, v, dt = self.s, self.v, self.cfg.dt
-        for i, u in enumerate(accel):
-            s[i], v[i] = advance(s[i], v[i], u, dt)
-
 
 def _by_vehicle(ids: list[str], rows: list) -> dict[str, list]:
     """Per-step rows (one entry per vehicle) turned into per-vehicle columns."""
@@ -577,10 +580,11 @@ def run_scenario(cfg: SimConfig, policy: Policy = Policy.EGT) -> SimTrace:
     trace = SimTrace(seed=cfg.seed, policy=policy, dt=cfg.dt, duration=cfg.duration,
                      true_styles=sim.true_styles)
     positions, speeds, accels = [], [], []
+    dt, period = cfg.dt, cfg.steps_per_period
 
     for k in range(cfg.n_steps):
-        t = round(k * cfg.dt, 9)
-        if k % cfg.steps_per_period == 0 and not sim.merged:
+        t = round(k * dt, 9)
+        if k % period == 0 and not sim.merged:
             sim.decision_step(t, trace)
 
         accel = sim.accelerations()
@@ -589,11 +593,11 @@ def run_scenario(cfg: SimConfig, policy: Policy = Policy.EGT) -> SimTrace:
         speeds.append(tuple(sim.v))
         accels.append(accel)
 
-        sim.step(accel)
+        advance(sim.s, sim.v, accel, dt)
         # The ramp only ever holds the AV, so only the main lane can collide.
         main = 0 if sim.merged else 1
         for first, second in check_collision(sim.ids[main:], sim.s[main:]):
-            trace.collisions.append(CollisionEvent(t=round((k + 1) * cfg.dt, 9), first=first, second=second))
+            trace.collisions.append(CollisionEvent(t=round((k + 1) * dt, 9), first=first, second=second))
 
     trace.s = _by_vehicle(sim.ids, positions)
     trace.v = _by_vehicle(sim.ids, speeds)
@@ -729,11 +733,11 @@ def run_estimation_bench(
             u_mv = BENCH_YIELD_DECEL
         else:
             u_mv = 0.0
-        v_now = v_mv
+        s, v, u = [s_mv], [v_mv], (u_mv,)
         for _ in range(cfg.steps_per_period):
-            s_mv, v_now = advance(s_mv, v_now, u_mv, cfg.dt)
+            advance(s, v, u, cfg.dt)
 
-        reaction = observed_reaction(v_now, v_mv)
+        reaction = observed_reaction(v[0], v_mv)
         new_belief = update_belief(belief, ess, reaction, ctx)
         updated = new_belief != belief
         belief = new_belief

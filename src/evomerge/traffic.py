@@ -55,13 +55,17 @@ def step_kinematics(state: VehicleState, u: float, t_s: float) -> VehicleState:
     """
     if t_s <= 0.0:
         raise ValueError(f"step size must be positive, got {t_s}")
-    s, v = advance(state.s, state.v, u, t_s)
-    return VehicleState(state.vid, state.lane, s, v)
+    s, v = [state.s], [state.v]
+    advance(s, v, (u,), t_s)
+    return VehicleState(state.vid, state.lane, s[0], v[0])
 
 
-def advance(s: float, v: float, u: float, t_s: float) -> tuple[float, float]:
-    """Position and speed after one step of :func:`step_kinematics`, on plain floats."""
-    return s + t_s * v, max(0.0, v + t_s * u)
+def advance(s: list[float], v: list[float], accel: Sequence[float], t_s: float) -> None:
+    """One :func:`step_kinematics` step in place for each vehicle of the columns ``s`` and ``v``."""
+    for i, u in enumerate(accel):
+        s[i] += t_s * v[i]
+        w = v[i] + t_s * u
+        v[i] = w if w > 0.0 else 0.0  # max(0.0, w), -0.0 and NaN included
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,7 +77,7 @@ class IDMParams:
     a_max: float = 1.5
     b: float = 2.0
     s0: float = 2.0
-    delta: float = 4.0
+    delta: float = 4.0  # the free-road exponent; no other value is accepted
     #: 2 sqrt(a_max b), the denominator of the dynamic term of s*.
     brake_scale: float = field(init=False, repr=False, compare=False)
 
@@ -81,8 +85,8 @@ class IDMParams:
         for name in ("v0", "T", "a_max", "b", "s0"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"IDM parameter {name} must be positive")
-        if self.delta < 1.0:
-            raise ValueError("delta must be >= 1")
+        if self.delta != 4.0:
+            raise ValueError(f"the IDM exponent delta is fixed at 4.0, got {self.delta}")
         object.__setattr__(self, "brake_scale", 2.0 * math.sqrt(self.a_max * self.b))
 
 
@@ -102,7 +106,8 @@ def idm_accel(p: IDMParams, v: float, gap: float, dv: float) -> float:
         raise ValueError(f"non-positive gap {gap}: vehicles already overlap")
     s_star = p.s0 + v * p.T + v * dv / p.brake_scale
     a = p.a_max * (1.0 - (v / p.v0) ** p.delta - (s_star / gap) ** 2)
-    return min(max(a, -EMERGENCY_DECEL), p.a_max)
+    # min(max(a, -EMERGENCY_DECEL), p.a_max) as comparisons, NaN included
+    return -EMERGENCY_DECEL if a < -EMERGENCY_DECEL else p.a_max if a > p.a_max else a
 
 
 def projected_arrival(state: VehicleState) -> float:

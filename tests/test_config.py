@@ -215,6 +215,14 @@ def test_cli_config_error_exit_code(tmp_path):
     pytest.param("d = 120.0\nv = 10.0", "d = 120.0\nv = inf", id="inf-vehicle-speed"),
     pytest.param("headway = fixed:2.0", "headway = fixed:inf", id="inf-headway"),
     pytest.param("headway = fixed:2.0", "headway = normal:nan,0.5", id="nan-headway-mean"),
+    # Ids that would break the trace CSV, the final order or the decision field.
+    pytest.param("id = MV1", "id =", id="empty-id"),
+    pytest.param("id = MV1", "id = MV,2", id="comma-id"),
+    pytest.param("id = MV1", "id = MV>2", id="gt-id"),
+    pytest.param("id = MV1", "id = MV[2", id="open-bracket-id"),
+    pytest.param("id = MV1", "id = MV]2", id="close-bracket-id"),
+    pytest.param("id = MV1", "id = MV 2", id="space-id"),
+    pytest.param("id = MV1", "id = MV\t2", id="tab-id"),
 ])
 def test_cli_bad_values_exit_at_config_time(tmp_path, capsys, old, new):
     assert MINIMAL.count(old) == 1

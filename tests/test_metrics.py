@@ -143,6 +143,33 @@ def test_batch_requires_at_least_one_job(jobs):
         run_batch(scenario_config(), n=1, base_seed=0, jobs=jobs)
 
 
+@pytest.mark.parametrize("n, jobs, workers", [(2, 64, 2), (5, 3, 3)])
+def test_batch_pool_has_no_more_workers_than_runs(monkeypatch, n, jobs, workers):
+    import concurrent.futures
+
+    started = []
+
+    class InlinePool:
+        """Records the worker count a pool would fork and runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    summary = run_batch(scenario_config(), n=n, base_seed=0, jobs=jobs)
+    assert started == [workers]
+    assert summary == run_batch(scenario_config(), n=n, base_seed=0)
+
+
 def test_batch_records_failed_runs_without_crashing(monkeypatch):
     import evomerge.metrics as metrics_mod
 

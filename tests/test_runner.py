@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evomerge import (
     AgentView,
@@ -36,7 +38,9 @@ from evomerge.runner import (
     BENCH_TAU_NEAR,
     BENCH_TAU_STEP,
     BENCH_YIELD_DECEL,
+    EMERGENCY_TARGET,
     HEADWAY_RANGE,
+    JERK_LIMIT,
     PROBE_ACCEL,
     PROBE_PERIODS,
     EstimationResult,
@@ -327,6 +331,78 @@ def test_overlap_brakes_at_emergency_decel():
     assert accel[0] == -EMERGENCY_DECEL
     assert accel[sim.index["MV1"]] == -EMERGENCY_DECEL
     assert accel[sim.index["MV2"]] == idm_accel(sim.idm[sim.index["MV2"]], 10.0, FREE_ROAD_GAP, 0.0)
+
+
+def reference_step(sim):
+    """The control step vehicle by vehicle from its rules: (commands, slew memory after the step)."""
+    s, v, n = sim.s, sim.v, len(sim.s)
+    lane = range(n) if sim.merged else range(1, n)
+
+    def follow(i, j):
+        if j is None:
+            return idm_accel(sim.idm[i], v[i], FREE_ROAD_GAP, 0.0)
+        gap = body_gap(s[i], s[j])
+        return -EMERGENCY_DECEL if gap <= 0.0 else idm_accel(sim.idm[i], v[i], gap, v[i] - v[j])
+
+    def leader(i):  # the nearest vehicle ahead on the main lane, the lowest index among ties
+        ahead = [(s[j], j) for j in lane if s[j] > s[i]]
+        return min(ahead)[1] if ahead else None
+
+    tail = min((s[j], j) for j in range(1, n))[1]
+    if sim.merged:
+        accel = [follow(0, sim.front)]
+    elif sim.maneuver.target is None and s[0] < s[tail]:
+        accel = [follow(0, tail)]
+    else:
+        accel = [sim.av_accel()]
+    memory = list(sim.prev_accel)
+    opp = None if sim.merged else sim.opponent()
+    span = JERK_LIMIT * sim.cfg.dt
+    for i in range(1, n):
+        a = follow(i, leader(i))
+        if sim.ids[i] == opp and s[0] > s[i]:
+            a = min(a, idm_accel(sim.idm[i], v[i], max(body_gap(s[i], s[0]), 0.5), v[i] - v[0]))
+        if memory[i] is not None:
+            slewed = min(max(a, memory[i] - span), memory[i] + span)
+            a = a if a <= EMERGENCY_TARGET and a < slewed else slewed
+        memory[i] = a
+        accel.append(a)
+    return accel, memory
+
+
+#: A small set of positions, so that ties and touching or overlapping bodies are common, plus floats.
+STEP_POSITIONS = st.one_of(st.sampled_from([95.0, 100.0, 103.0, 105.0, 110.0, 200.0]),
+                           st.floats(min_value=50.0, max_value=300.0))
+STEP_SPEEDS = st.one_of(st.sampled_from([0.0, 10.0]), st.floats(min_value=0.0, max_value=25.0))
+STEP_PREV = st.one_of(st.none(), st.sampled_from([-8.0, 0.0, 3.0]), st.floats(min_value=-8.0, max_value=3.0))
+
+
+@st.composite
+def step_states(draw):
+    """A sim with 1-5 drivers in an arbitrary control state: lane, positions, slot claim, game, slew memory."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    vehicles = tuple(VehicleSpec(f"MV{k + 1}", 100.0 + 20.0 * k, 10.0, HeadwaySpec("fixed", h))
+                     for k, h in enumerate(draw(st.lists(st.floats(0.5, 3.5), min_size=n, max_size=n))))
+    sim = _Sim(SimConfig(vehicles=vehicles, av=AvSpec(100.0, 10.0, 0.5)), Policy.EGT)
+    sim.s = draw(st.lists(STEP_POSITIONS, min_size=n + 1, max_size=n + 1))
+    sim.v = draw(st.lists(STEP_SPEEDS, min_size=n + 1, max_size=n + 1))
+    sim.prev_accel = draw(st.lists(STEP_PREV, min_size=n + 1, max_size=n + 1))
+    sim.merged = draw(st.booleans())
+    sim.front = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=n)))
+    sim.maneuver = Maneuver(draw(st.sampled_from(ManeuverKind)), draw(st.sampled_from([None, *sim.mv_ids])))
+    sim.next_opponent = draw(st.integers(min_value=0, max_value=n))
+    sim.periods = draw(st.integers(min_value=1, max_value=PROBE_PERIODS + 1))
+    return sim
+
+
+@settings(max_examples=400, deadline=None)
+@given(step_states())
+def test_control_step_matches_its_rules(sim):
+    # Merged and ramp AV, a claimed tail, the gamed driver ahead of and behind
+    # the AV, ties, overlaps, an empty slew memory and emergency targets.
+    expected, memory = reference_step(sim)
+    assert repr(sim.accelerations()) == repr(expected)
+    assert repr(sim.prev_accel) == repr(memory)
 
 
 AV_LAW_PLACEMENTS = [

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evomerge import (
@@ -15,6 +15,7 @@ from evomerge import (
 from evomerge.traffic import (
     FREE_ROAD_GAP,
     VEHICLE_LENGTH,
+    advance,
     body_gap,
     desired_speed,
     headway_from_style,
@@ -48,6 +49,22 @@ def test_step_speed_clamps_at_zero():
 def test_step_rejects_bad_dt():
     with pytest.raises(ValueError):
         step_kinematics(veh("x", 0.0, 1.0), u=0.0, t_s=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.one_of(st.sampled_from([0.0, -0.0, 0.05, 1.0]), st.floats()),
+    st.one_of(st.sampled_from([0.0, -0.0, -0.5, -10.0]), st.floats()),
+), max_size=6), st.sampled_from([0.1, 0.05, 1.0]))
+# Below zero, exactly -0.0, exactly 0.0 and NaN: each speed becomes +0.0, as max(0.0, w) gives.
+@example([(0.0, 0.05, -2.0), (0.0, -0.0, -0.0), (0.0, 1.0, -10.0), (0.0, math.nan, 1.0)], 0.1)
+def test_advance_in_place_matches_the_scalar_law(rows, dt):
+    # s' = s + dt v, v' = max(0.0, v + dt u), bit for bit.
+    s, v = [row[0] for row in rows], [row[1] for row in rows]
+    advance(s, v, [row[2] for row in rows], dt)
+    assert repr(s) == repr([s0 + dt * v0 for s0, v0, _ in rows])
+    assert repr(v) == repr([max(0.0, v0 + dt * u) for _, v0, u in rows])
 
 
 @settings(max_examples=50, deadline=None)
@@ -95,6 +112,13 @@ def test_idm_equilibrium_gap_residual():
     s_star = DEFAULT.s0 + v * DEFAULT.T
     gap = s_star / math.sqrt(1.0 - (v / DEFAULT.v0) ** DEFAULT.delta)
     assert abs(idm_accel(DEFAULT, v, gap, 0.0)) < 1e-6
+
+
+def test_idm_exponent_is_fixed_at_four():
+    assert IDMParams(delta=4.0).delta == 4.0
+    for delta in (1.0, 2.0, 3.999, 5.0, math.nan):
+        with pytest.raises(ValueError, match="delta"):
+            IDMParams(delta=delta)
 
 
 def test_idm_rejects_nonpositive_gap():
