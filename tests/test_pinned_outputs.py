@@ -5,8 +5,10 @@ hand.  The digest covers the trace CSV and run report of scenario1-3 under
 every policy at one seed (10 s), three 60 s EGT runs (scenario1-3, seed 2)
 that complete their lane change and sample TTC behind the AV, one 10 s
 scenario3 Nash run (seed 30) in which a main-road vehicle drives through the
-merged AV, one serial batch summary and one estimation-bench result.  A change that alters
-behaviour on purpose updates ``PINNED_SHA256`` and says why.
+merged AV, one 30 s scenario3 Stackelberg run (seed 8) with two tail-slot
+claims and two rejected lane changes, one serial batch summary and one
+estimation-bench result.  A change that alters behaviour on purpose updates
+``PINNED_SHA256`` and says why.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from evomerge.runner import run_estimation_bench, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
-PINNED_SHA256 = "0bf2b8d93abd9fa84ede39f54f02bd63637d1e1dbbe061bf8a4464446ab6861a"
+PINNED_SHA256 = "8a33b7c7b8f15a85102c4053c6b1c046935477b40e84672c7913aa10bf871b1b"
 
 
 def _run_text(cfg, policy: Policy) -> str:
@@ -36,6 +38,7 @@ def pinned_outputs() -> list[str]:
     texts = [_run_text(replace(cfg, seed=7), policy) for cfg in cfgs for policy in Policy]
     texts += [_run_text(replace(cfg, seed=2, duration=60.0), Policy.EGT) for cfg in cfgs]
     texts.append(_run_text(replace(cfgs[2], seed=30), Policy.NASH))
+    texts.append(_run_text(replace(cfgs[2], seed=8, duration=30.0), Policy.STACKELBERG))
     texts.append(batch_summary_text(run_batch(cfgs[0], 4, 0, Policy.EGT)))
     bench = run_estimation_bench(load_scenario(SCENARIOS / "estimation.cfg"), 0.37, seed=0)
     texts.append("".join(
