@@ -49,9 +49,9 @@ from .runner import (
     SimConfig,
     SimTrace,
     VehicleSpec,
-    decide,
     execute_lane_change,
     merge_control,
+    merges,
     run_estimation_bench,
     run_scenario,
 )

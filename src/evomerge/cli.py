@@ -57,7 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     est_p = sub.add_parser("estimate", help="style-estimation testbench")
     est_p.add_argument("--scenario", required=True)
     est_p.add_argument("--true-omega", type=float, required=True)
-    est_p.add_argument("--seed", type=int, default=0)
+    est_p.add_argument("--seed", type=int, default=0,
+                       help="accepted for symmetry with run; the bench reads no seeded draw")
     return parser
 
 

@@ -2,10 +2,11 @@
 
 The format is line-oriented key-value text with bracketed sections.  A file
 holds one ``[sim]`` section, one ``[av]`` section, and one ``[vehicle]``
-section per main-road vehicle; ``#`` starts a comment.  Headways are either
-``fixed:<x>`` or ``normal:<mean>,<sigma>`` (one truncated draw per run).
-Unknown sections or keys are rejected outright, so typos fail loudly.  The
-full grammar is documented in the README.
+section per main-road vehicle; ``#`` at the start of a line or after
+whitespace starts a comment.  Headways are either ``fixed:<x>`` or
+``normal:<mean>,<sigma>`` (one truncated draw per run).  Unknown sections or
+keys are rejected outright, so typos fail loudly.  The full grammar is
+documented in the README.
 """
 
 from __future__ import annotations
@@ -53,7 +54,10 @@ def _sections(text: str, source: str) -> list[tuple[str, dict[str, str], int]]:
     out: list[tuple[str, dict[str, str], int]] = []
     current: dict[str, str] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        cut = raw.find("#")  # a comment opens the line or follows whitespace
+        while cut > 0 and not raw[cut - 1].isspace():
+            cut = raw.find("#", cut + 1)
+        line = (raw if cut < 0 else raw[:cut]).strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .baselines import Policy, merge_profile, select_nash, stackelberg
-from .egt import EquilibriumReport, StrategyState, _operative_ess, solve_ess
+from .egt import EquilibriumReport, PayoffMatrix, StrategyState, _operative_ess, solve_ess
 from .estimation import StyleBelief, observed_reaction, update_belief
 from .payoff import (
     AgentView,
@@ -92,16 +92,20 @@ class Maneuver:
     target: Optional[str] = None
 
 
-def decide(report: EquilibriumReport, target: Optional[str] = None) -> Maneuver:
-    """Map an equilibrium report to a maneuver.
+def merges(policy: Policy, matrix: PayoffMatrix, report: EquilibriumReport) -> bool:
+    """Whether ``policy`` merges ahead on one game (its profile has p < q); otherwise it yields.
 
-    Merge ahead only on a unique stable point with p* < q* (the merging
-    vehicle pushes, the opponent yields).  Everything else, including the
-    both-push point, no stable point, and multiple stable points, falls back
-    to yielding: the conservative default preserves the safety claims.
+    EGT plays only a unique stable point: none or several fall back to
+    yielding, the conservative default.  The baselines are called through
+    this module's names, which perfbench's traced run wraps.
     """
-    merges = merge_profile(report.ess if report.has_unique_ess else None)
-    return Maneuver(ManeuverKind.MERGE_AHEAD if merges else ManeuverKind.YIELD_SHIFT, target=target)
+    if policy is Policy.EGT:
+        profile = report.ess if report.has_unique_ess else None
+    elif policy is Policy.NASH:
+        profile = select_nash(matrix)
+    else:
+        profile = stackelberg(matrix)
+    return merge_profile(profile)
 
 
 def _game_style(omega: float) -> float:
@@ -110,20 +114,14 @@ def _game_style(omega: float) -> float:
     return min(max(omega, eps), 1.0 - eps)
 
 
-def merge_control(ctx: GameContext, maneuver: Maneuver) -> float:
-    """Constant-acceleration command tracking the maneuver's arrival target.
+def merge_control(d_av: float, v_av: float, d_opp: float, v_opp: float,
+                  headway_t: float, yields: bool) -> float:
+    """Constant-acceleration command tracking the arrival target against one opponent.
 
     Merging ahead schedules arrival one headway margin before the opponent's
     projected arrival, yielding one margin after it; the go-branch time is
     floored and the command clamped to the control authority.
     """
-    return _tracking_accel(ctx.av.dist_to_merge, ctx.av.speed, ctx.mv.dist_to_merge, ctx.mv.speed,
-                           ctx.headway_t, yields=maneuver.kind is ManeuverKind.YIELD_SHIFT)
-
-
-def _tracking_accel(d_av: float, v_av: float, d_opp: float, v_opp: float,
-                    headway_t: float, yields: bool) -> float:
-    """The :func:`merge_control` command from the two players' game views, on plain floats."""
     u = required_avg_accel(d_av, v_av, arrival_time(d_opp, v_opp, headway_t, yields))
     return min(max(u, CONTROL_MIN), CONTROL_MAX)
 
@@ -395,11 +393,6 @@ class _Sim:
         lane = Lane.MAIN if i or self.merged else Lane.RAMP
         return VehicleState(self.ids[i], lane, self.s[i], self.v[i])
 
-    def place(self, state: VehicleState) -> None:
-        """Write a state object's position and speed back into the columns."""
-        i = self.index[state.vid]
-        self.s[i], self.v[i] = state.s, state.v
-
     def opponent(self) -> Optional[str]:
         if self.next_opponent < len(self.opponent_order):
             return self.opponent_order[self.next_opponent]
@@ -422,53 +415,37 @@ class _Sim:
     def decision_step(self, t: float, trace: SimTrace) -> None:
         self.periods += 1
         opp = self.opponent()
-
+        pending, self.pending = self.pending, None
+        belief = ess = None
         if opp is None:
-            # Yielded past the whole platoon: claim the tail slot.
-            self.pending = None
-            self.maneuver = Maneuver(ManeuverKind.MERGE_AHEAD, target=None)
-            trace.decisions.append(DecisionRecord(
-                t=t, opponent=None, p_star=None, q_star=None,
-                maneuver=self.maneuver.kind, k_l=None, k_u=None,
-            ))
-            self.try_lane_change(t, trace)
-            return
-
-        v_opp = self.v[self.index[opp]]
-        if self.pending is not None and self.pending.opponent == opp:
-            reaction = observed_reaction(v_opp, self.pending.v_opponent)
-            self.beliefs[opp] = update_belief(
-                self.beliefs[opp], self.pending.ess, reaction, self.pending.ctx
-            )
-        self.pending = None
-
-        belief = self.beliefs[opp]
-        ctx = self.context_for(opp, belief.omega_hat)
-        matrix = build_matrix(ctx)
-        report = solve_ess(matrix)
-
-        if self.policy is Policy.EGT:
-            self.maneuver = decide(report, target=opp)
+            merge = True  # yielded past the whole platoon: claim the tail slot
         else:
-            profile = select_nash(matrix) if self.policy is Policy.NASH else stackelberg(matrix)
-            kind = ManeuverKind.MERGE_AHEAD if merge_profile(profile) else ManeuverKind.YIELD_SHIFT
-            self.maneuver = Maneuver(kind, target=opp)
+            v_opp = self.v[self.index[opp]]
+            if pending is not None and pending.opponent == opp:
+                reaction = observed_reaction(v_opp, pending.v_opponent)
+                self.beliefs[opp] = update_belief(self.beliefs[opp], pending.ess, reaction, pending.ctx)
+            belief = self.beliefs[opp]
+            ctx = self.context_for(opp, belief.omega_hat)
+            matrix = build_matrix(ctx)
+            report = solve_ess(matrix)
+            merge = merges(self.policy, matrix, report)
+            ess = report.ess
+            if ess is not None:
+                self.pending = _Prediction(opponent=opp, ctx=ctx, ess=ess, v_opponent=v_opp)
 
-        if report.ess is not None:
-            self.pending = _Prediction(opponent=opp, ctx=ctx, ess=report.ess, v_opponent=v_opp)
-
+        self.maneuver = Maneuver(ManeuverKind.MERGE_AHEAD if merge else ManeuverKind.YIELD_SHIFT, target=opp)
         trace.decisions.append(DecisionRecord(
             t=t, opponent=opp,
-            p_star=report.ess.p if report.ess else None,
-            q_star=report.ess.q if report.ess else None,
+            p_star=None if ess is None else ess.p,
+            q_star=None if ess is None else ess.q,
             maneuver=self.maneuver.kind,
-            k_l=belief.k_l, k_u=belief.k_u,
+            k_l=None if belief is None else belief.k_l,
+            k_u=None if belief is None else belief.k_u,
         ))
-
-        if self.maneuver.kind is ManeuverKind.YIELD_SHIFT:
-            self.advance_past()
-        else:
+        if merge:
             self.try_lane_change(t, trace)
+        else:
+            self.advance_past()
 
     def advance_past(self) -> None:
         self.next_opponent += 1
@@ -476,21 +453,20 @@ class _Sim:
 
     def try_lane_change(self, t: float, trace: SimTrace) -> None:
         lo, hi = CONVERGENCE_AREA
-        if not lo <= self.s[0] <= hi or self.maneuver.kind is not ManeuverKind.MERGE_AHEAD:
+        if not lo <= self.s[0] <= hi:
             return
         ahead = leaders(self.s)[0]
         front = None if ahead is None else self.view(ahead)
-        rear = self.view(self.index[self.maneuver.target]) if self.maneuver.target else None
-        moved, ok = execute_lane_change(self.view(0), front, rear, min_gap=self.idm[0].s0)
-        if ok:
-            self.place(moved)
+        target = self.maneuver.target
+        rear = None if target is None else self.view(self.index[target])
+        if execute_lane_change(self.view(0), front, rear, min_gap=self.idm[0].s0)[1]:
             self.merged = True
             self.front = ahead
             self.pending = None
             trace.lane_change_time = t
-        elif self.maneuver.target is not None:
+        elif target is not None:
             # Infeasible slot at the boundary: forced yield, re-queue.
-            self.maneuver = Maneuver(ManeuverKind.YIELD_SHIFT, target=self.maneuver.target)
+            self.maneuver = Maneuver(ManeuverKind.YIELD_SHIFT, target=target)
             self.advance_past()
 
     # -- per-step controls -------------------------------------------------
@@ -515,7 +491,7 @@ class _Sim:
             if self.maneuver.target is None and s[0] < s[lead[0]]:
                 accel = []  # tail slot claimed: the AV follows the tail
             else:
-                accel = [self.av_accel()]
+                accel = [self.av_accel(lead[0])]
         span = self.jerk_span
         for i in range(len(accel), len(s)):
             j, w = lead[i], v[i]
@@ -544,10 +520,9 @@ class _Sim:
             accel.append(a)
         return accel
 
-    def av_accel(self) -> float:
-        """The ramp AV's tracking command: its maneuver target's, or the claimed tail's."""
+    def av_accel(self, tail: int) -> float:
+        """The ramp AV's tracking command: its maneuver target's, or the claimed platoon ``tail``'s."""
         if self.maneuver.target is None:
-            tail = min(range(1, len(self.ids)), key=self.s.__getitem__)
             return self.track(tail, yields=True)
         u = self.track(self.index[self.maneuver.target],
                        yields=self.maneuver.kind is ManeuverKind.YIELD_SHIFT)
@@ -563,10 +538,10 @@ class _Sim:
         return u
 
     def track(self, opponent: int, yields: bool) -> float:
-        """The :func:`merge_control` command against vehicle ``opponent``, without a game context."""
+        """The :func:`merge_control` command against vehicle ``opponent``."""
         s, v = self.s, self.v
-        return _tracking_accel(*_game_terms(s[0], v[0]), *_game_terms(s[opponent], v[opponent]),
-                               self.cfg.headway_t, yields)
+        return merge_control(*_game_terms(s[0], v[0]), *_game_terms(s[opponent], v[opponent]),
+                             self.cfg.headway_t, yields)
 
 
 def _by_vehicle(ids: list[str], rows: list) -> dict[str, list]:
@@ -685,7 +660,8 @@ def run_estimation_bench(
     ``BENCH_TAU_STEP`` steps and back sweeps the equilibrium's style
     boundary up and then down across the whole interval, so both belief
     bounds get pinched against the true weight; updates remain strictly
-    chronological.
+    chronological.  ``seed`` does not change the result: it draws only
+    headways, and no round reads one.
     """
     if not 0.0 < true_omega < 1.0:
         raise ValueError("true_omega must lie in (0, 1)")
@@ -695,12 +671,10 @@ def run_estimation_bench(
     if opp is None:
         raise ValueError("estimation bench needs an opponent behind the merging vehicle")
     i = sim.index[opp]
-    av, mv = sim.view(0), sim.view(i)
-    offset = mv.dist_to_merge - av.dist_to_merge
+    offset = sim.s[0] - sim.s[i]
     if offset <= 0.0:
         raise ValueError("the bench opponent must be behind the merging vehicle")
-    v_av = av.v
-    v_mv = mv.v
+    v_av, v_mv = sim.v[0], sim.v[i]
 
     belief = StyleBelief()
     rounds: list[EstimationRound] = []

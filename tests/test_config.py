@@ -62,6 +62,15 @@ def test_comments_and_blank_lines_ignored():
     assert cfg.vehicles[0].vid == "MV1"
 
 
+def test_comment_starts_only_after_whitespace():
+    cfg = parse_scenario(MINIMAL.replace("id = MV1", "id = MV#2").replace("d = 120.0", "d = 50  # m\t#again"))
+    assert cfg.vehicles[0].vid == "MV#2"
+    assert cfg.vehicles[0].dist_to_merge == 50.0
+    assert parse_scenario(MINIMAL.replace("v = 10.0\nheadway", "v = 10.0\t# m/s\nheadway")).vehicles[0].speed == 10.0
+    with pytest.raises(ConfigError):
+        parse_scenario(MINIMAL.replace("d = 120.0", "d = 120.0#m"))
+
+
 def test_unknown_key_rejected():
     # Former [sim] keys whose values are now code constants, and the seed,
     # which only the command line sets, are unknown keys too.

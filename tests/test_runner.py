@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -7,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evomerge import (
-    AgentView,
     AvSpec,
-    GameContext,
     HeadwaySpec,
     Lane,
     Maneuver,
@@ -20,14 +19,15 @@ from evomerge import (
     VehicleSpec,
     VehicleState,
     build_matrix,
-    decide,
     execute_lane_change,
     merge_control,
+    merges,
     run_estimation_bench,
     run_scenario,
     solve_ess,
     step_kinematics,
 )
+from evomerge import runner
 from evomerge.baselines import Policy
 from evomerge.metrics import trace_csv
 from evomerge.estimation import StyleBelief, observed_reaction, update_belief
@@ -51,14 +51,6 @@ from evomerge.runner import (
 from evomerge.traffic import EMERGENCY_DECEL, FREE_ROAD_GAP, MERGE_POINT_S, body_gap, idm_accel
 
 
-def ctx_for(d_av, v_av, d_mv, v_mv, headway=2.0):
-    return GameContext(
-        av=AgentView(d_av, v_av), mv=AgentView(d_mv, v_mv),
-        av_omega=0.5, mv_omega=0.5,
-        headway_t=headway,
-    )
-
-
 def small_config(**overrides):
     vehicles = (
         VehicleSpec("MV1", 173.2, 10.0, HeadwaySpec("fixed", 2.0)),
@@ -70,63 +62,79 @@ def small_config(**overrides):
     return SimConfig(vehicles=vehicles, av=AvSpec(100.0, 10.0, 0.5), **overrides)
 
 
-# -- decide ------------------------------------------------------------------
+# -- policy pick -------------------------------------------------------------
 
 
-def report_for(m: PayoffMatrix):
-    return solve_ess(m)
+def picks(m: PayoffMatrix) -> dict:
+    report = solve_ess(m)
+    return {policy: merges(policy, m, report) for policy in Policy}
 
 
-def test_decide_merge_on_unique_yielding_equilibrium():
+def test_policy_pick_on_the_worked_game(worked_ctx):
+    m = build_matrix(worked_ctx)
+    assert len(solve_ess(m).stable_points) > 1  # EGT falls back to yielding
+    assert picks(m) == {Policy.EGT: False, Policy.NASH: True, Policy.STACKELBERG: True}
+
+
+def test_policy_pick_where_nash_and_stackelberg_differ():
+    m = PayoffMatrix(1, -3, -2, -2, -2, -1, 0, -1)
+    assert solve_ess(m).stable_points == ()
+    assert picks(m) == {Policy.EGT: False, Policy.NASH: False, Policy.STACKELBERG: True}
+
+
+def test_policy_pick_merges_on_a_unique_yielding_equilibrium():
     # the driver yields, the merging vehicle pushes: p* < q*
     m = PayoffMatrix(u11=0, u12=0, u21=1, u22=1, v11=1, v12=0, v21=1, v22=0)
-    maneuver = decide(report_for(m), target="MV9")
-    assert maneuver.kind is ManeuverKind.MERGE_AHEAD
-    assert maneuver.target == "MV9"
+    assert picks(m) == dict.fromkeys(Policy, True)
 
 
-def test_decide_yield_on_reversed_equilibrium():
+def test_policy_pick_yields_on_reversed_equilibrium():
     m = PayoffMatrix(u11=1, u12=1, u21=0, u22=0, v11=0, v12=1, v21=0, v22=1)
-    report = report_for(m)
-    assert report.ess == StrategyState(1.0, 0.0)
-    assert decide(report).kind is ManeuverKind.YIELD_SHIFT
+    assert solve_ess(m).ess == StrategyState(1.0, 0.0)
+    assert picks(m) == dict.fromkeys(Policy, False)
 
 
-def test_decide_yield_without_equilibrium():
-    zero = PayoffMatrix(0, 0, 0, 0, 0, 0, 0, 0)
-    assert decide(report_for(zero)).kind is ManeuverKind.YIELD_SHIFT
+def test_policy_pick_yields_without_equilibrium():
+    assert picks(PayoffMatrix(0, 0, 0, 0, 0, 0, 0, 0)) == dict.fromkeys(Policy, False)
 
 
-def test_decide_yield_on_several_stable_points(worked_ctx):
-    report = report_for(build_matrix(worked_ctx))
-    assert len(report.stable_points) > 1
-    assert decide(report).kind is ManeuverKind.YIELD_SHIFT
-
-
-def test_decide_total_over_random_matrices():
+def test_policy_pick_total_over_random_matrices():
     rng = np.random.default_rng(11)
     for _ in range(300):
-        m = PayoffMatrix(*rng.uniform(-10, 10, size=8))
-        maneuver = decide(report_for(m))
-        assert maneuver.kind in (ManeuverKind.MERGE_AHEAD, ManeuverKind.YIELD_SHIFT)
+        assert all(type(pick) is bool for pick in picks(PayoffMatrix(*rng.uniform(-10, 10, size=8))).values())
+
+
+def test_decisions_call_the_game_through_runner_names(monkeypatch):
+    # perfbench's traced run wraps these runner attributes as its payoff, egt
+    # and baselines layers; a decision that bypassed them would zero a layer.
+    calls = Counter()
+    for name in ("build_matrix", "solve_ess", "select_nash", "stackelberg"):
+        def counted(*args, _name=name, _original=getattr(runner, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(runner, name, counted)
+    for policy, rule in ((Policy.EGT, None), (Policy.NASH, "select_nash"), (Policy.STACKELBERG, "stackelberg")):
+        calls.clear()
+        trace = run_scenario(small_config(seed=0, duration=3.0), policy)
+        games = sum(d.opponent is not None for d in trace.decisions)
+        assert games > 0
+        assert calls == Counter({"build_matrix": games, "solve_ess": games, **({rule: games} if rule else {})})
 
 
 # -- merge control -----------------------------------------------------------
 
 
 def test_merge_control_zero_acceleration_case():
-    u = merge_control(ctx_for(80, 10, 100, 10), Maneuver(ManeuverKind.MERGE_AHEAD))
-    assert u == pytest.approx(0.0)
+    assert merge_control(80.0, 10.0, 100.0, 10.0, 2.0, yields=False) == pytest.approx(0.0)
 
 
 def test_merge_control_yield_branch():
-    u = merge_control(ctx_for(80, 10, 100, 10), Maneuver(ManeuverKind.YIELD_SHIFT))
-    assert u == pytest.approx(-0.5556, abs=1e-3)
+    assert merge_control(80.0, 10.0, 100.0, 10.0, 2.0, yields=True) == pytest.approx(-0.5556, abs=1e-3)
 
 
 def test_merge_control_clamps():
-    u = merge_control(ctx_for(80, 10, 10, 10), Maneuver(ManeuverKind.MERGE_AHEAD))
-    assert u == 3.0  # floored arrival time demands more than the authority
+    # floored arrival time demands more than the authority
+    assert merge_control(80.0, 10.0, 10.0, 10.0, 2.0, yields=False) == 3.0
 
 
 # -- lane change -------------------------------------------------------------
@@ -354,7 +362,7 @@ def reference_step(sim):
     elif sim.maneuver.target is None and s[0] < s[tail]:
         accel = [follow(0, tail)]
     else:
-        accel = [sim.av_accel()]
+        accel = [sim.av_accel(tail)]
     memory = list(sim.prev_accel)
     opp = None if sim.merged else sim.opponent()
     span = JERK_LIMIT * sim.cfg.dt
@@ -428,10 +436,12 @@ def test_av_law_matches_merge_control_on_its_game_context(placement, branch):
         sim.maneuver = tracked = Maneuver(kind, target="MV2")
     # MV2 is the first opponent; the probe lasts its first PROBE_PERIODS periods.
     sim.periods = 1 if branch == "probe" else PROBE_PERIODS + 1
-    expected = merge_control(sim.context_for(tracked.target, omega_hat), tracked)
+    ctx = sim.context_for(tracked.target, omega_hat)
+    expected = merge_control(ctx.av.dist_to_merge, ctx.av.speed, ctx.mv.dist_to_merge, ctx.mv.speed,
+                             ctx.headway_t, yields=tracked.kind is ManeuverKind.YIELD_SHIFT)
     if branch == "probe":
         expected = max(expected, PROBE_ACCEL)
-    assert sim.av_accel() == expected
+    assert sim.av_accel(sim.index["MV3"]) == expected
 
 
 def test_lane_change_only_inside_the_convergence_area():
@@ -507,8 +517,7 @@ def reference_bench(cfg, true_omega, seed):
         t = k * cfg.decision_period
         av = VehicleState(vid=AV_ID, lane=Lane.RAMP, s=MERGE_POINT_S - tau * v_av, v=v_av)
         mv = VehicleState(vid=opp, lane=Lane.MAIN, s=av.s - offset, v=v_mv)
-        sim.place(av)
-        sim.place(mv)
+        place(sim, **{AV_ID: (av.s, av.v), opp: (mv.s, mv.v)})
         ctx = sim.context_for(opp, belief.omega_hat)
         report = solve_ess(build_matrix(ctx))
         if report.ess is None:
@@ -524,7 +533,8 @@ def reference_bench(cfg, true_omega, seed):
             u_mv = BENCH_YIELD_DECEL
         else:
             u_mv = 0.0
-        u_av = merge_control(ctx, Maneuver(ManeuverKind.MERGE_AHEAD, target=opp))
+        u_av = merge_control(ctx.av.dist_to_merge, ctx.av.speed, ctx.mv.dist_to_merge, ctx.mv.speed,
+                             ctx.headway_t, yields=False)
         v_before = mv.v
         for _ in range(cfg.steps_per_period):
             av = step_kinematics(av, u_av, cfg.dt)
