@@ -94,6 +94,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    if not 0.0 < args.true_omega < 1.0:  # NaN fails too
+        raise ConfigError(f"--true-omega must lie in (0, 1), got {args.true_omega}")
     cfg = load_scenario(args.scenario)
     result = run_estimation_bench(cfg, true_omega=args.true_omega, seed=args.seed)
     for r in result.rounds:

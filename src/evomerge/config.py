@@ -4,9 +4,10 @@ The format is line-oriented key-value text with bracketed sections.  A file
 holds one ``[sim]`` section, one ``[av]`` section, and one ``[vehicle]``
 section per main-road vehicle; ``#`` at the start of a line or after
 whitespace starts a comment.  Headways are either ``fixed:<x>`` or
-``normal:<mean>,<sigma>`` (one truncated draw per run).  Unknown sections or
-keys are rejected outright, so typos fail loudly.  The full grammar is
-documented in the README.
+``normal:<mean>,<sigma>`` (one truncated draw per run, from the run's seeded
+NumPy generator, which the simulator makes only for such a draw).  Parsing
+never loads NumPy.  Unknown sections or keys are rejected outright, so typos
+fail loudly.  The full grammar is documented in the README.
 """
 
 from __future__ import annotations

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Eigenvalues closer to zero than this are treated as exactly zero, so the
 # strict-negativity test fails and the point is not stable.  Guards against
@@ -250,6 +251,8 @@ def integrate_replicator_batch(
     one game per start row; each row's result is bit-identical to a call on
     its own matrix, since the arithmetic is elementwise.
     """
+    import numpy as np  # only this batch path needs arrays; importing evomerge stays NumPy-free
+
     state = np.array(starts, dtype=float, copy=True)
     if state.ndim != 2 or state.shape[1] != 2:
         raise ValueError("starts must have shape (n, 2)")

@@ -18,9 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .baselines import Policy, merge_profile, select_nash, stackelberg
 from .egt import EquilibriumReport, PayoffMatrix, StrategyState, _operative_ess, solve_ess
@@ -52,6 +50,9 @@ from .traffic import (
     step_kinematics,  # noqa: F401  (perfbench's trace_targets name runner.step_kinematics)
     style_from_headway,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 AV_ID = "AV"
 
@@ -167,7 +168,11 @@ def _check_finite(what: str, value: float) -> None:
 
 @dataclass(frozen=True, slots=True)
 class HeadwaySpec:
-    """Fixed headway, or one truncated-normal draw per run."""
+    """Fixed headway, or one truncated-normal draw per run.
+
+    Normal draws come in vehicle order from one ``numpy.random.default_rng``
+    seeded with the run's seed; only such a draw loads NumPy.
+    """
 
     kind: str  # "fixed" | "normal"
     value: float = 0.0
@@ -182,7 +187,8 @@ class HeadwaySpec:
             _check_finite("headway mean", self.value)
             _check("headway sigma", self.sigma, positive=False)
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: Optional[np.random.Generator]) -> float:
+        """The headway for one run; a fixed headway reads no ``rng`` and may pass None."""
         if self.kind == "fixed":
             return self.value
         lo, hi = HEADWAY_RANGE
@@ -346,13 +352,20 @@ class _Sim:
     def __init__(self, cfg: SimConfig, policy: Policy):
         self.cfg = cfg
         self.policy = policy
-        rng = np.random.default_rng(cfg.seed)
 
         self.mv_ids: list[str] = []
         # By vehicle index, the merging vehicle's own style first.
         self.idm = [idm_params_for_style(cfg.av.omega, headway_from_style(cfg.av.omega))]
         self.true_styles: dict[str, float] = {}
+        # Made at the first normal headway: fixed headways never draw, so the
+        # stream equals one made up front, and a run without a normal headway
+        # never loads NumPy.
+        rng: Optional[np.random.Generator] = None
         for spec in cfg.vehicles:
+            if rng is None and spec.headway.kind == "normal":
+                import numpy
+
+                rng = numpy.random.default_rng(cfg.seed)
             headway = spec.headway.sample(rng)
             omega = style_from_headway(headway)
             self.mv_ids.append(spec.vid)
@@ -661,7 +674,8 @@ def run_estimation_bench(
     boundary up and then down across the whole interval, so both belief
     bounds get pinched against the true weight; updates remain strictly
     chronological.  ``seed`` does not change the result: it draws only
-    headways, and no round reads one.
+    ``normal`` headways, and no round reads one.  A file with fixed headways
+    only never loads NumPy.
     """
     if not 0.0 < true_omega < 1.0:
         raise ValueError("true_omega must lie in (0, 1)")

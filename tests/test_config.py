@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -243,9 +245,51 @@ def test_cli_bad_values_exit_at_config_time(tmp_path, capsys, old, new):
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_runtime_error_exit_code(tmp_path):
+@pytest.mark.parametrize("omega", ["1.5", "nan", "0", "-0.2"])
+def test_cli_bad_true_omega_exits_at_config_time(capsys, omega):
     code = main([
         "estimate", "--scenario", str(SCENARIOS / "estimation.cfg"),
-        "--true-omega", "1.5",
+        "--true-omega", omega,
     ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "config error: --true-omega" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_runtime_error_exit_code(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    scenario = tmp_path / "minimal.cfg"
+    scenario.write_text(MINIMAL)
+    code = main(["run", "--scenario", str(scenario), "--out", str(taken)])
     assert code == 2
+    assert "runtime failure: [Errno 17] File exists" in capsys.readouterr().err
+
+
+COLD_START = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import evomerge
+from evomerge import cli
+from evomerge.config import load_scenario
+from evomerge.runner import run_scenario
+
+scenarios = sys.argv[2]
+for name in ("scenario1", "scenario2", "scenario3", "estimation"):
+    load_scenario(f"{scenarios}/{name}.cfg")
+code = cli.main(["estimate", "--scenario", f"{scenarios}/estimation.cfg", "--true-omega", "0.7"])
+assert code == 0, code
+assert "numpy" not in sys.modules, "NumPy loaded without a normal headway draw"
+run_scenario(load_scenario(f"{scenarios}/scenario1.cfg"))
+assert "numpy" in sys.modules, "scenario1's normal headway drew without NumPy"
+"""
+
+
+def test_cold_start_loads_numpy_only_for_a_normal_headway():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(src), str(SCENARIOS)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

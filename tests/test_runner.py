@@ -48,7 +48,14 @@ from evomerge.runner import (
     SimTrace,
     _Sim,
 )
-from evomerge.traffic import EMERGENCY_DECEL, FREE_ROAD_GAP, MERGE_POINT_S, body_gap, idm_accel
+from evomerge.traffic import (
+    EMERGENCY_DECEL,
+    FREE_ROAD_GAP,
+    MERGE_POINT_S,
+    body_gap,
+    idm_accel,
+    style_from_headway,
+)
 
 
 def small_config(**overrides):
@@ -171,6 +178,25 @@ def test_headway_sampling_is_deterministic_and_truncated():
     draws2 = [spec.sample(np.random.default_rng(s)) for s in range(200)]
     assert draws1 == draws2
     assert all(HEADWAY_RANGE[0] <= d <= HEADWAY_RANGE[1] for d in draws1)
+
+    # The simulator makes its generator at the first normal headway; fixed
+    # headways before and between the normal ones must not shift the stream.
+    fixed = HeadwaySpec("fixed", 1.5)
+    wide, narrow = HeadwaySpec("normal", 1.0, 0.5), HeadwaySpec("normal", 2.0, 0.3)
+    for kinds in (
+        (fixed, wide, fixed, narrow, wide),
+        (fixed, fixed, narrow),
+        (wide, fixed, fixed, narrow),
+        (fixed, fixed),
+    ):
+        vehicles = tuple(
+            VehicleSpec(f"MV{k + 1}", 173.2 - 25.0 * k, 10.0, headway) for k, headway in enumerate(kinds)
+        )
+        for seed in range(20):
+            cfg = SimConfig(vehicles=vehicles, av=AvSpec(100.0, 10.0, 0.5), seed=seed)
+            rng = np.random.default_rng(seed)
+            eager = {spec.vid: style_from_headway(spec.headway.sample(rng)) for spec in vehicles}
+            assert _Sim(cfg, Policy.EGT).true_styles == eager
 
 
 def test_sim_config_validation():
