@@ -13,9 +13,7 @@ from .egt import (
     StrategyState,
     deviation_gains,
     eigenvalues_at,
-    integrate_replicator,
     integrate_replicator_batch,
-    replicator_rhs,
     solve_ess,
 )
 from .estimation import (
@@ -33,13 +31,11 @@ from .payoff import (
     CellCosts,
     GameContext,
     MvMove,
-    Role,
     StrategyPair,
     build_matrix,
     cell_costs,
     conflict_weight,
     required_avg_accel,
-    target_arrival_time,
 )
 from .runner import (
     AvSpec,

@@ -92,11 +92,6 @@ def _field(m: PayoffMatrix, p, q):
     return p * (1.0 - p) * gap_av, q * (1.0 - q) * gap_mv
 
 
-def replicator_rhs(m: PayoffMatrix, s: StrategyState) -> tuple[float, float]:
-    """Replicator vector field (dp/dt, dq/dt) at state s."""
-    return _field(m, s.p, s.q)
-
-
 def eigenvalues_at(m: PayoffMatrix, point: StrategyState) -> tuple[float, float]:
     """Jacobian eigenvalues at a pure rest point.
 
@@ -200,66 +195,38 @@ def _operative_ess(gains: tuple[tuple[float, float], ...]) -> Optional[StrategyS
     return None
 
 
-def _rk4_step(m: PayoffMatrix, p, q, dt: float):
-    """One unclamped RK4 step of the replicator field, on floats or arrays.
+def integrate_replicator_batch(
+    m: PayoffMatrix, starts: np.ndarray, dt: float, steps: int
+) -> np.ndarray:
+    """Fixed-step RK4 integration of the replicator field from many start states.
 
-    Plain elementwise arithmetic, so the entries of ``m`` may be arrays too,
-    broadcasting against ``p`` and ``q``.
+    ``starts`` has shape (n, 2) with columns (p, q); returns the final states
+    with the same shape.  Each state is clamped to the unit square after every
+    step.  Serves as the independent dynamical check on the eigenvalue
+    classification.  Several games integrate in one call when ``m`` is an
+    object with the eight payoff attributes of :class:`PayoffMatrix` holding
+    length-n arrays, one game per start row; each row's result is
+    bit-identical to a call on its own matrix, since the arithmetic is
+    elementwise.
     """
-    k1p, k1q = _field(m, p, q)
-    k2p, k2q = _field(m, p + 0.5 * dt * k1p, q + 0.5 * dt * k1q)
-    k3p, k3q = _field(m, p + 0.5 * dt * k2p, q + 0.5 * dt * k2q)
-    k4p, k4q = _field(m, p + dt * k3p, q + dt * k3q)
-    return (
-        p + dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0,
-        q + dt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0,
-    )
+    import numpy as np  # only this batch path needs arrays; importing evomerge stays NumPy-free
 
-
-def integrate_replicator(
-    m: PayoffMatrix, s0: StrategyState, dt: float, steps: int
-) -> list[StrategyState]:
-    """Fixed-step RK4 integration of the replicator field from s0.
-
-    Each state is clamped to the unit square after every step.  Returns the
-    full trajectory, s0 included, so its length is steps + 1.  Serves as the
-    independent dynamical check on the eigenvalue classification.
-    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    traj = [s0]
-    p, q = s0.p, s0.q
-    for _ in range(steps):
-        p, q = _rk4_step(m, p, q, dt)
-        p, q = min(max(p, 0.0), 1.0), min(max(q, 0.0), 1.0)
-        traj.append(StrategyState(p, q))
-    return traj
-
-
-def integrate_replicator_batch(
-    m: PayoffMatrix, starts: np.ndarray, dt: float, steps: int
-) -> np.ndarray:
-    """Vectorized twin of :func:`integrate_replicator` for many start states.
-
-    ``starts`` has shape (n, 2) with columns (p, q); returns the final states
-    with the same shape.  Runs the same RK4 step and per-step clamp as the
-    scalar integrator on arrays, so it agrees with it to within float rounding.
-    Several games integrate in one call when ``m`` is an object with the
-    eight payoff attributes of :class:`PayoffMatrix` holding length-n arrays,
-    one game per start row; each row's result is bit-identical to a call on
-    its own matrix, since the arithmetic is elementwise.
-    """
-    import numpy as np  # only this batch path needs arrays; importing evomerge stays NumPy-free
-
     state = np.array(starts, dtype=float, copy=True)
     if state.ndim != 2 or state.shape[1] != 2:
         raise ValueError("starts must have shape (n, 2)")
     p = state[:, 0]
     q = state[:, 1]
     for _ in range(steps):
-        p, q = _rk4_step(m, p, q, dt)
+        k1p, k1q = _field(m, p, q)
+        k2p, k2q = _field(m, p + 0.5 * dt * k1p, q + 0.5 * dt * k1q)
+        k3p, k3q = _field(m, p + 0.5 * dt * k2p, q + 0.5 * dt * k2q)
+        k4p, k4q = _field(m, p + dt * k3p, q + dt * k3q)
+        p = p + dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
+        q = q + dt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
         np.clip(p, 0.0, 1.0, out=p)
         np.clip(q, 0.0, 1.0, out=q)
     return np.stack([p, q], axis=1)

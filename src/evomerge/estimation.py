@@ -23,7 +23,6 @@ points leave the solver's tie band.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .egt import EIGENVALUE_ZERO_TOL, StrategyState, _operative_ess
 from .egt import solve_ess  # noqa: F401  (perfbench's trace_targets name estimation.solve_ess)
@@ -173,27 +172,20 @@ def update_belief(
     ess: StrategyState,
     reaction: Reaction,
     ctx: GameContext,
-    interval: Optional[StabilityInterval] = None,
 ) -> StyleBelief:
     """One estimation round: tighten a bound on a contradicted prediction.
 
     ``ctx`` must be the context whose matrix produced ``ess`` (the MV style
-    weight equal to the belief midpoint at prediction time); ``interval`` may
-    carry a precomputed stability interval to skip recomputing it.  Confirmed
+    weight equal to the belief midpoint at prediction time).  Confirmed
     predictions and collapsed beliefs are no-ops.
     """
     if belief.inconsistent:
         return belief
 
-    predicted_accelerate = ess.q == 0.0
-    predicted_yield = ess.q == 1.0
-    new_kl, new_ku = belief.k_l, belief.k_u
-    if predicted_accelerate and not reaction.accelerated:
-        bound = interval if interval is not None else ess_stability_interval(ctx, ess)
-        new_ku = bound.lo
-    elif predicted_yield and reaction.accelerated:
-        bound = interval if interval is not None else ess_stability_interval(ctx, ess)
-        new_kl = bound.hi
+    if ess.q == 0.0 and not reaction.accelerated:  # predicted accelerate, saw none
+        new_kl, new_ku = belief.k_l, ess_stability_interval(ctx, ess).lo
+    elif ess.q == 1.0 and reaction.accelerated:  # predicted yield, saw a push
+        new_kl, new_ku = ess_stability_interval(ctx, ess).hi, belief.k_u
     else:
         return belief
 

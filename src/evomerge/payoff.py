@@ -41,11 +41,6 @@ class MvMove(Enum):
     ACCELERATE = "accelerate"
 
 
-class Role(Enum):
-    AV = "av"
-    MV = "mv"
-
-
 @dataclass(frozen=True, slots=True)
 class StrategyPair:
     av_move: AvMove
@@ -84,12 +79,6 @@ class GameContext:
             raise ValueError(f"style weights must lie in (0, 1), got {self.av_omega}, {self.mv_omega}")
         if self.headway_t <= 0.0:
             raise ValueError(f"headway_t must be positive, got {self.headway_t}")
-
-
-def target_arrival_time(ctx: GameContext, role: Role, yields: bool) -> float:
-    """Arrival time, seconds, implied by one player's decision in a game context."""
-    opp = ctx.mv if role is Role.AV else ctx.av
-    return arrival_time(opp.dist_to_merge, opp.speed, ctx.headway_t, yields)
 
 
 def arrival_time(opp_dist: float, opp_speed: float, headway_t: float, yields: bool) -> float:
@@ -136,30 +125,10 @@ def _cost(omega: float, t: float, a: float, safety: float) -> float:
     return omega * t + (1.0 - omega) * a * a + safety
 
 
-def _schedule(ctx: GameContext, role: Role, yields: bool) -> tuple[float, float]:
-    """One player's arrival time and the constant acceleration that meets it."""
-    arrival = target_arrival_time(ctx, role, yields)
-    own = ctx.av if role is Role.AV else ctx.mv
+def _schedule(own: AgentView, opp: AgentView, headway_t: float, yields: bool) -> tuple[float, float]:
+    """One player's arrival time against ``opp`` and the constant acceleration that meets it."""
+    arrival = arrival_time(opp.dist_to_merge, opp.speed, headway_t, yields)
     return arrival, required_avg_accel(own.dist_to_merge, own.speed, arrival)
-
-
-def _safety(pair: StrategyPair, a_av: float, a_mv: float) -> float:
-    """The conflict term both players of a cell pay."""
-    return conflict_weight(pair) * abs(a_av + a_mv)
-
-
-def cell_costs(ctx: GameContext, pair: StrategyPair) -> CellCosts:
-    t_av, a_av = _schedule(ctx, Role.AV, pair.av_move is AvMove.YIELD)
-    t_mv, a_mv = _schedule(ctx, Role.MV, pair.mv_move is MvMove.YIELD)
-    safety = _safety(pair, a_av, a_mv)
-    return CellCosts(
-        j_av=_cost(ctx.av_omega, t_av, a_av, safety),
-        j_mv=_cost(ctx.mv_omega, t_mv, a_mv, safety),
-        t_av=t_av,
-        t_mv=t_mv,
-        a_av=a_av,
-        a_mv=a_mv,
-    )
 
 
 _PAIRS = (
@@ -168,6 +137,35 @@ _PAIRS = (
     StrategyPair(AvMove.MERGE, MvMove.YIELD),
     StrategyPair(AvMove.MERGE, MvMove.ACCELERATE),
 )
+
+
+def _cell_terms(ctx: GameContext) -> list[tuple[float, float, float, float, float]]:
+    """Each cell's (t_av, a_av, t_mv, a_mv, safety), in ``_PAIRS`` order.
+
+    Each player has two schedules; the four cells only pair them up.  The
+    safety term is the conflict term both players of a cell pay.
+    """
+    av, mv, headway_t = ctx.av, ctx.mv, ctx.headway_t
+    av_yield, av_go = _schedule(av, mv, headway_t, True), _schedule(av, mv, headway_t, False)
+    mv_yield, mv_go = _schedule(mv, av, headway_t, True), _schedule(mv, av, headway_t, False)
+    terms = []
+    for pair, (t_av, a_av), (t_mv, a_mv) in zip(
+        _PAIRS, (av_yield, av_yield, av_go, av_go), (mv_yield, mv_go, mv_yield, mv_go)
+    ):
+        terms.append((t_av, a_av, t_mv, a_mv, conflict_weight(pair) * abs(a_av + a_mv)))
+    return terms
+
+
+def cell_costs(ctx: GameContext, pair: StrategyPair) -> CellCosts:
+    t_av, a_av, t_mv, a_mv, safety = _cell_terms(ctx)[_PAIRS.index(pair)]
+    return CellCosts(
+        j_av=_cost(ctx.av_omega, t_av, a_av, safety),
+        j_mv=_cost(ctx.mv_omega, t_mv, a_mv, safety),
+        t_av=t_av,
+        t_mv=t_mv,
+        a_av=a_av,
+        a_mv=a_mv,
+    )
 
 
 def build_matrix(ctx: GameContext) -> PayoffMatrix:
@@ -190,15 +188,10 @@ class CellTable:
     __slots__ = ("_av_fitness", "_mv_terms")
 
     def __init__(self, ctx: GameContext) -> None:
-        # Each player has two schedules; the four cells, in _PAIRS order, only pair them up.
-        av_yield, av_go = _schedule(ctx, Role.AV, True), _schedule(ctx, Role.AV, False)
-        mv_yield, mv_go = _schedule(ctx, Role.MV, True), _schedule(ctx, Role.MV, False)
-        schedules = ((av_yield, mv_yield), (av_yield, mv_go), (av_go, mv_yield), (av_go, mv_go))
         omega_av = ctx.av_omega
         av_fitness = []
         mv_terms = []
-        for pair, ((t_av, a_av), (t_mv, a_mv)) in zip(_PAIRS, schedules):
-            safety = _safety(pair, a_av, a_mv)
+        for pair, (t_av, a_av, t_mv, a_mv, safety) in zip(_PAIRS, _cell_terms(ctx)):
             fitness = -_cost(omega_av, t_av, a_av, safety)
             # The MV cost at omega adds omega * t, (1 - omega) * a * a and the
             # safety term, each nonnegative and at most its part of this sum,

@@ -378,7 +378,7 @@ class _Sim:
         self.s = [MERGE_POINT_S - cfg.av.dist_to_merge]
         self.s += [MERGE_POINT_S - spec.dist_to_merge for spec in cfg.vehicles]
         self.v = [cfg.av.speed] + [spec.speed for spec in cfg.vehicles]
-        arrival = [projected_arrival(self.view(i)) for i in range(len(self.ids))]
+        arrival = [projected_arrival(s, v) for s, v in zip(self.s, self.v)]
 
         self.beliefs: dict[str, StyleBelief] = {vid: StyleBelief() for vid in self.mv_ids}
         self.pending: Optional[_Prediction] = None

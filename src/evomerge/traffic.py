@@ -43,10 +43,6 @@ class VehicleState:
         if self.v < 0.0:
             raise ValueError(f"speed must be >= 0, got {self.v}")
 
-    @property
-    def dist_to_merge(self) -> float:
-        return MERGE_POINT_S - self.s
-
 
 def step_kinematics(state: VehicleState, u: float, t_s: float) -> VehicleState:
     """Discrete double-integrator update with a nonnegative-speed clamp.
@@ -110,9 +106,9 @@ def idm_accel(p: IDMParams, v: float, gap: float, dv: float) -> float:
     return -EMERGENCY_DECEL if a < -EMERGENCY_DECEL else p.a_max if a > p.a_max else a
 
 
-def projected_arrival(state: VehicleState) -> float:
-    """Time to the merge point at current speed; negative once past it."""
-    return state.dist_to_merge / max(state.v, 1e-9)
+def projected_arrival(s: float, v: float) -> float:
+    """Time to the merge point from position s at speed v; negative once past it."""
+    return (MERGE_POINT_S - s) / max(v, 1e-9)
 
 
 def body_gap(rear_s: float, front_s: float) -> float:

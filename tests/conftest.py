@@ -1,6 +1,6 @@
 """Shared fixtures and the independent scalar oracle.
 
-The oracle transcribes the cost and replicator formulas directly, without
+The oracle transcribes the cost formulas directly, without
 touching the package's implementation, so the worked-context tests check
 the real code path against an independent derivation.
 """
@@ -52,25 +52,6 @@ def oracle_cell(
     )
 
 
-def oracle_bimatrix(d_av, v_av, d_mv, v_mv, headway, w_av, w_mv):
-    """U, V dicts keyed (row, col) with row 1 AV-yield and col 1 MV-yield."""
-    u, v = {}, {}
-    for row, av_yields in ((1, True), (2, False)):
-        for col, mv_yields in ((1, True), (2, False)):
-            cell = oracle_cell(d_av, v_av, d_mv, v_mv, headway, w_av, w_mv, av_yields, mv_yields)
-            u[(row, col)] = -cell.j_av
-            v[(row, col)] = -cell.j_mv
-    return u, v
-
-
-def oracle_eigenvalues(u: dict, v: dict, p: int, q: int) -> tuple[float, float]:
-    e_av1 = q * u[(1, 1)] + (1 - q) * u[(1, 2)]
-    e_av2 = q * u[(2, 1)] + (1 - q) * u[(2, 2)]
-    e_mv1 = p * v[(1, 1)] + (1 - p) * v[(2, 1)]
-    e_mv2 = p * v[(1, 2)] + (1 - p) * v[(2, 2)]
-    return (1 - 2 * p) * (e_av1 - e_av2), (1 - 2 * q) * (e_mv1 - e_mv2)
-
-
 WORKED = dict(d_av=80.0, v_av=10.0, d_mv=100.0, v_mv=10.0, headway=2.0, w_av=0.5, w_mv=0.5)
 
 
@@ -83,11 +64,6 @@ def worked_ctx() -> GameContext:
         mv_omega=WORKED["w_mv"],
         headway_t=WORKED["headway"],
     )
-
-
-@pytest.fixture
-def worked_bimatrix():
-    return oracle_bimatrix(**WORKED)
 
 
 def assert_close(actual: float, expected: float, tol: float = 1e-3) -> None:

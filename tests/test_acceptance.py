@@ -75,7 +75,7 @@ class _MegaBatch:
 
     Row-wise payoff-gap coefficients reproduce the replicator field of each
     row's own matrix; the scheme and per-step clamp are identical to
-    integrate_replicator, and the test cross-checks that equivalence on a
+    integrate_replicator_batch, and the test cross-checks that equivalence on a
     subsample before trusting the verdicts.
     """
 

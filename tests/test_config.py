@@ -198,6 +198,9 @@ def test_cli_config_error_exit_code(tmp_path):
     bad.write_text("[sim]\nnope = 1\n")
     code = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
+    # A scenario path that cannot be read fails the same way.
+    code = main(["run", "--scenario", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "o")])
+    assert code == 1
 
 
 @pytest.mark.parametrize("old, new", [
@@ -234,6 +237,13 @@ def test_cli_config_error_exit_code(tmp_path):
     pytest.param("id = MV1", "id = MV]2", id="close-bracket-id"),
     pytest.param("id = MV1", "id = MV 2", id="space-id"),
     pytest.param("id = MV1", "id = MV\t2", id="tab-id"),
+    pytest.param("id = MV1", "id = AV", id="av-id"),
+    pytest.param("headway = fixed:2.0", "headway = fixed:2.0\n\n[vehicle]\nid = MV1\nd = 140.0\nv = 10.0\n"
+                 "headway = fixed:2.0", id="shared-id"),
+    # Section structure.
+    pytest.param("duration = 10.0", "duration = 10.0\ndt", id="key-without-equals"),
+    pytest.param("duration = 10.0", "duration = 10.0\n\n[sim]\ndt = 0.1", id="second-sim"),
+    pytest.param("v = 10.0\n\n[vehicle]", "v = 10.0\n\n[av]\nomega = 0.5\n\n[vehicle]", id="second-av"),
 ])
 def test_cli_bad_values_exit_at_config_time(tmp_path, capsys, old, new):
     assert MINIMAL.count(old) == 1

@@ -13,9 +13,7 @@ from evomerge import (
     build_matrix,
     deviation_gains,
     eigenvalues_at,
-    integrate_replicator,
     integrate_replicator_batch,
-    replicator_rhs,
     solve_ess,
 )
 from evomerge.egt import EIGENVALUE_ZERO_TOL, PURE_POINTS, _operative_ess
@@ -26,7 +24,6 @@ ZERO = PayoffMatrix(0, 0, 0, 0, 0, 0, 0, 0)
 
 entries = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 matrices = st.builds(PayoffMatrix, *([entries] * 8))
-probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
 def test_matrix_rejects_non_finite():
@@ -41,33 +38,6 @@ def test_strategy_state_bounds():
         StrategyState(-0.1, 0.5)
     with pytest.raises(ValueError):
         StrategyState(0.5, 1.1)
-
-
-def test_replicator_rhs_boundary_fixed_point():
-    m = PayoffMatrix(1, -2, 3, 4, -1, 2, 0, 5)
-    assert replicator_rhs(m, StrategyState(1.0, 0.0)) == (0.0, 0.0)
-
-
-def test_replicator_rhs_direct_substitution():
-    # u11 - u21 = 2 ensures E_AV1 - E_AV2 = 2 at q = 1
-    m = PayoffMatrix(u11=2.0, u12=0.0, u21=0.0, u22=0.0,
-                     v11=0.0, v12=0.0, v21=0.0, v22=0.0)
-    dp, dq = replicator_rhs(m, StrategyState(0.5, 1.0))
-    assert dp == pytest.approx(0.5)
-    assert dq == 0.0
-
-
-def test_replicator_rhs_worked_matrix(worked_ctx, worked_bimatrix):
-    u, v = worked_bimatrix
-    m = build_matrix(worked_ctx)
-    p = q = 0.5
-    e_av1 = q * u[(1, 1)] + (1 - q) * u[(1, 2)]
-    e_av2 = q * u[(2, 1)] + (1 - q) * u[(2, 2)]
-    e_mv1 = p * v[(1, 1)] + (1 - p) * v[(2, 1)]
-    e_mv2 = p * v[(1, 2)] + (1 - p) * v[(2, 2)]
-    dp, dq = replicator_rhs(m, StrategyState(p, q))
-    assert dp == pytest.approx(p * (1 - p) * (e_av1 - e_av2), abs=1e-12)
-    assert dq == pytest.approx(q * (1 - q) * (e_mv1 - e_mv2), abs=1e-12)
 
 
 def test_eigenvalues_zero_matrix():
@@ -159,10 +129,11 @@ def test_operative_ess_is_the_reported_ess(m):
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrices, probs, probs)
-def test_pure_points_are_exact_fixed_points(m, p, q):
+@given(matrices)
+def test_pure_points_are_exact_fixed_points(m):
     for point in PURE_POINTS:
-        assert replicator_rhs(m, point) == (0.0, 0.0)
+        start = [[point.p, point.q]]
+        assert integrate_replicator_batch(m, start, dt=0.01, steps=1).tolist() == start
 
 
 @settings(max_examples=60, deadline=None)
@@ -191,41 +162,29 @@ def test_positive_scaling_equivariance(m, alpha):
 
 def test_integrate_constant_at_pure_point():
     m = PayoffMatrix(1, 2, 3, 4, 4, 3, 2, 1)
-    traj = integrate_replicator(m, StrategyState(1.0, 1.0), dt=0.01, steps=50)
-    assert len(traj) == 51
-    assert all(s == StrategyState(1.0, 1.0) for s in traj)
+    final = integrate_replicator_batch(m, [[1.0, 1.0]], dt=0.01, steps=50)
+    assert final.tolist() == [[1.0, 1.0]]
 
 
 def test_integrate_zero_matrix_constant():
-    traj = integrate_replicator(ZERO, StrategyState(0.3, 0.8), dt=0.01, steps=20)
-    assert all(s == StrategyState(0.3, 0.8) for s in traj)
+    final = integrate_replicator_batch(ZERO, [[0.3, 0.8]], dt=0.01, steps=20)
+    assert final.tolist() == [[0.3, 0.8]]
 
 
 def test_integrate_worked_matrix_converges(worked_ctx):
     m = build_matrix(worked_ctx)
-    traj = integrate_replicator(m, StrategyState(0.01, 0.99), dt=0.01, steps=5000)
-    final = traj[-1]
-    assert abs(final.p - 0.0) < 1e-3
-    assert abs(final.q - 1.0) < 1e-3
+    p, q = integrate_replicator_batch(m, [[0.01, 0.99]], dt=0.01, steps=5000)[0]
+    assert abs(p - 0.0) < 1e-3
+    assert abs(q - 1.0) < 1e-3
 
 
 def test_integrate_validates_arguments():
     with pytest.raises(ValueError):
-        integrate_replicator(ZERO, StrategyState(0.5, 0.5), dt=0.0, steps=10)
+        integrate_replicator_batch(ZERO, [[0.5, 0.5]], dt=0.0, steps=10)
     with pytest.raises(ValueError):
-        integrate_replicator(ZERO, StrategyState(0.5, 0.5), dt=0.01, steps=0)
-
-
-def test_batch_integrator_matches_scalar():
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        m = PayoffMatrix(*rng.uniform(-10, 10, size=8))
-        starts = rng.uniform(0, 1, size=(8, 2))
-        finals = integrate_replicator_batch(m, starts, dt=0.01, steps=400)
-        for start, final in zip(starts, finals):
-            traj = integrate_replicator(m, StrategyState(*start), dt=0.01, steps=400)
-            assert final[0] == pytest.approx(traj[-1].p, abs=1e-10)
-            assert final[1] == pytest.approx(traj[-1].q, abs=1e-10)
+        integrate_replicator_batch(ZERO, [[0.5, 0.5]], dt=0.01, steps=0)
+    with pytest.raises(ValueError):
+        integrate_replicator_batch(ZERO, np.array([0.5, 0.5]), dt=0.01, steps=10)
 
 
 def test_stability_matches_trajectories_on_random_matrices():

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from evomerge import (
     solve_ess,
     update_belief,
 )
+from evomerge import estimation
 from evomerge.egt import PURE_POINTS
 from evomerge.estimation import REACTION_DEADBAND
 from evomerge.payoff import CellTable
@@ -173,12 +175,15 @@ def test_stability_interval_stale_when_ess_differs(ctx, wrong):
     assert interval == StabilityInterval(ctx.mv_omega, ctx.mv_omega, stale=True)
 
 
+def fixed_interval(lo, hi):
+    """Make every stability interval the estimator computes inside the block [lo, hi]."""
+    return patch.object(estimation, "ess_stability_interval", lambda ctx, ess: StabilityInterval(lo, hi))
+
+
 def test_update_belief_yield_contradicted(worked_ctx):
     belief = StyleBelief()
-    out = update_belief(
-        belief, StrategyState(0.0, 1.0), Reaction(True), worked_ctx,
-        interval=StabilityInterval(0.38, 0.71),
-    )
+    with fixed_interval(0.38, 0.71):
+        out = update_belief(belief, StrategyState(0.0, 1.0), Reaction(True), worked_ctx)
     assert out.k_l == pytest.approx(0.71)
     assert out.k_u == 1.0
     assert out.omega_hat == pytest.approx(0.855)
@@ -192,10 +197,8 @@ def test_update_belief_confirmed_yield_is_noop(worked_ctx):
 
 def test_update_belief_push_contradicted(worked_ctx):
     belief = StyleBelief()
-    out = update_belief(
-        belief, StrategyState(0.0, 0.0), Reaction(False), worked_ctx,
-        interval=StabilityInterval(0.38, 0.71),
-    )
+    with fixed_interval(0.38, 0.71):
+        out = update_belief(belief, StrategyState(0.0, 0.0), Reaction(False), worked_ctx)
     assert out.k_u == pytest.approx(0.38)
     assert out.k_l == 0.0
     assert out.omega_hat == pytest.approx(0.19)
@@ -209,17 +212,13 @@ def test_update_belief_confirmed_push_is_noop(worked_ctx):
 
 def test_update_belief_collapse_flags_inconsistency(worked_ctx):
     belief = StyleBelief(0.6, 0.8)
-    out = update_belief(
-        belief, StrategyState(0.0, 1.0), Reaction(True), worked_ctx,
-        interval=StabilityInterval(0.55, 0.9),  # hi beyond k_u collapses
-    )
+    with fixed_interval(0.55, 0.9):  # hi beyond k_u collapses
+        out = update_belief(belief, StrategyState(0.0, 1.0), Reaction(True), worked_ctx)
     assert out.inconsistent
     assert out.k_l == out.k_u == pytest.approx(belief.omega_hat)
     # further updates are no-ops
-    again = update_belief(
-        out, StrategyState(0.0, 1.0), Reaction(True), worked_ctx,
-        interval=StabilityInterval(0.1, 0.9),
-    )
+    with fixed_interval(0.1, 0.9):
+        again = update_belief(out, StrategyState(0.0, 1.0), Reaction(True), worked_ctx)
     assert again == out
 
 
@@ -246,11 +245,11 @@ def test_interval_never_widens(init, rounds):
     push_point = StrategyState(0.0, 0.0)
     for contradiction_is_push, below, above in rounds:
         mid = belief.omega_hat
-        interval = StabilityInterval(max(0.0, mid - below), min(1.0, mid + above))
-        if contradiction_is_push:
-            belief = update_belief(belief, push_point, Reaction(False), worked_ctx, interval=interval)
-        else:
-            belief = update_belief(belief, yield_point, Reaction(True), worked_ctx, interval=interval)
+        with fixed_interval(max(0.0, mid - below), min(1.0, mid + above)):
+            if contradiction_is_push:
+                belief = update_belief(belief, push_point, Reaction(False), worked_ctx)
+            else:
+                belief = update_belief(belief, yield_point, Reaction(True), worked_ctx)
         new_width = belief.k_u - belief.k_l
         assert new_width <= width + 1e-12
         width = new_width

@@ -7,7 +7,6 @@ from evomerge import (
     AvMove,
     GameContext,
     MvMove,
-    Role,
     StrategyPair,
     StrategyState,
     build_matrix,
@@ -17,10 +16,9 @@ from evomerge import (
     ess_stability_interval,
     required_avg_accel,
     solve_ess,
-    target_arrival_time,
 )
 from evomerge.egt import _operative_ess
-from evomerge.payoff import ARRIVAL_TIME_FLOOR, CellTable
+from evomerge.payoff import ARRIVAL_TIME_FLOOR, CellTable, arrival_time
 
 from conftest import WORKED, assert_close, oracle_cell
 
@@ -57,20 +55,22 @@ def test_agent_view_validation():
 
 
 def test_arrival_time_go_branch():
-    assert target_arrival_time(ctx_for(80, 10, 100, 10), Role.AV, yields=False) == pytest.approx(8.0)
+    assert arrival_time(100, 10, 2.0, yields=False) == pytest.approx(8.0)
 
 
 def test_arrival_time_yield_branch():
-    assert target_arrival_time(ctx_for(80, 10, 100, 10), Role.AV, yields=True) == pytest.approx(12.0)
+    assert arrival_time(100, 10, 2.0, yields=True) == pytest.approx(12.0)
 
 
 def test_arrival_time_clamped_when_opponent_close():
-    assert target_arrival_time(ctx_for(80, 10, 10, 10), Role.AV, yields=False) == ARRIVAL_TIME_FLOOR
+    assert arrival_time(10, 10, 2.0, yields=False) == ARRIVAL_TIME_FLOOR
 
 
 def test_arrival_time_uses_opponent_fields():
-    ctx = ctx_for(80, 10, 100, 10)
-    assert target_arrival_time(ctx, Role.MV, yields=False) == pytest.approx(80 / 10 - 2)
+    # each player's schedule reads the other's distance and speed
+    cell = cell_costs(ctx_for(80, 10, 100, 10), MA)
+    assert cell.t_mv == pytest.approx(80 / 10 - 2)
+    assert cell.t_av == pytest.approx(100 / 10 - 2)
 
 
 def test_required_avg_accel_zero_case():
@@ -182,9 +182,9 @@ margins = st.floats(min_value=0.5, max_value=3.0)
 @given(dists, speeds, dists, speeds, margins, weights, weights)
 def test_yield_ordering_gap_is_twice_headway(d_av, v_av, d_mv, v_mv, T, w_av, w_mv):
     ctx = ctx_for(d_av, v_av, d_mv, v_mv, T, w_av, w_mv)
-    go = target_arrival_time(ctx, Role.AV, yields=False)
+    go = cell_costs(ctx, MA).t_av
     assume(go > ARRIVAL_TIME_FLOOR)  # not floored
-    stay = target_arrival_time(ctx, Role.AV, yields=True)
+    stay = cell_costs(ctx, YA).t_av
     assert stay - go == pytest.approx(2 * T, rel=1e-12)
 
 

@@ -178,6 +178,8 @@ def test_headway_sampling_is_deterministic_and_truncated():
     draws2 = [spec.sample(np.random.default_rng(s)) for s in range(200)]
     assert draws1 == draws2
     assert all(HEADWAY_RANGE[0] <= d <= HEADWAY_RANGE[1] for d in draws1)
+    # A mean far above the range rejects every draw; the sample falls back to the clamped mean.
+    assert HeadwaySpec("normal", 10.0, 0.01).sample(np.random.default_rng(0)) == HEADWAY_RANGE[1] == 3.5
 
     # The simulator makes its generator at the first normal headway; fixed
     # headways before and between the normal ones must not shift the stream.
@@ -529,9 +531,9 @@ def reference_bench(cfg, true_omega, seed):
     cfg = replace(cfg, seed=seed)
     sim = _Sim(cfg, Policy.EGT)
     opp = sim.opponent()
-    av, mv = sim.view(0), sim.view(sim.index[opp])
-    offset = mv.dist_to_merge - av.dist_to_merge
-    v_av, v_mv = av.v, mv.v
+    i = sim.index[opp]
+    offset = sim.s[0] - sim.s[i]
+    v_av, v_mv = sim.v[0], sim.v[i]
     belief = StyleBelief()
     rounds = []
     contained = True
